@@ -51,7 +51,6 @@ from .distributions import (
     FockState,
     PhaseDensity,
     coherent_state,
-    erf,
     eta,
     evolve_density,
     evolve_density_series,
@@ -59,7 +58,6 @@ from .distributions import (
     p_function_phase_density,
     pegg_barnett_distribution,
     distribution_variance,
-    richardson_check,
 )
 from .config import ConfigError, ExperimentConfig, validate_config, experiment_defaults
 from .errors import GuardTripError
@@ -101,7 +99,6 @@ __all__ = [
     "FockState",
     "PhaseDensity",
     "coherent_state",
-    "erf",
     "eta",
     "evolve_density",
     "evolve_density_series",
@@ -109,7 +106,6 @@ __all__ = [
     "p_function_phase_density",
     "pegg_barnett_distribution",
     "distribution_variance",
-    "richardson_check",
     "ConfigError",
     "ExperimentConfig",
     "validate_config",

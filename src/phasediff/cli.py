@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, validate_config
+from .config import ConfigError, parse_document, validate_config
 from .errors import GuardTripError
 from .experiments import list_experiments, run_experiment
 
@@ -46,14 +46,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path: Path) -> str:
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise ConfigError([("--config", f"cannot read {path}: {exc.strerror or exc}")]) from exc
+
+
 def _load_document(args) -> dict:
     doc: dict = {}
     if args.config is not None:
-        doc = json.loads(args.config.read_text())
-        if isinstance(doc, dict) and isinstance(doc.get("config"), dict):
-            doc = doc["config"]
-    if not isinstance(doc, dict):
-        raise ConfigError([("<document>", "top level must be a JSON object")])
+        doc = parse_document(_read_config(args.config))
     doc["experiment"] = args.command
     for key in ("master_seed", "out", "expansion_order", "n_traj", "dt", "t_max"):
         value = getattr(args, key, None)
@@ -77,7 +80,7 @@ def main(argv=None) -> int:
 
     if args.command == "validate":
         try:
-            cfg = validate_config(args.config.read_text())
+            cfg = validate_config(_read_config(args.config))
         except ConfigError as exc:
             return _fail(exc.as_record(), EXIT_VALIDATION)
         print(json.dumps(cfg.resolved, indent=2, sort_keys=True))

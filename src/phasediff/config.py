@@ -18,7 +18,8 @@ import numpy as np
 from .params import AmplifierParams, CoherentInput
 from .sde import SdeConfig
 
-__all__ = ["ConfigError", "ExperimentConfig", "validate_config", "experiment_defaults"]
+__all__ = ["ConfigError", "ExperimentConfig", "parse_document", "validate_config",
+           "experiment_defaults"]
 
 
 class ConfigError(ValueError):
@@ -138,14 +139,12 @@ def _check_type(doc, errors, key, kinds, predicate=None, describe=""):
     return v
 
 
-def validate_config(raw) -> ExperimentConfig:
-    """Parse and validate a config document (bytes/str JSON, or a dict).
+def parse_document(raw) -> dict:
+    """Config document from JSON text (bytes/str) or a dict, sidecars unwrapped.
 
     A run-metadata document (with a "config" key) is accepted and unwrapped,
-    so any emitted metadata file can be fed straight back in.  All violations
-    are collected and raised together as a ConfigError.
+    so any emitted metadata file can be fed straight back in.
     """
-    errors: list[tuple[str, str]] = []
     if isinstance(raw, (bytes, str)):
         try:
             doc = json.loads(raw)
@@ -157,6 +156,16 @@ def validate_config(raw) -> ExperimentConfig:
         raise ConfigError([("<document>", "top level must be a JSON object")])
     if "config" in doc and isinstance(doc["config"], dict):
         doc = doc["config"]
+    return doc
+
+
+def validate_config(raw) -> ExperimentConfig:
+    """Parse (see parse_document) and validate a config document.
+
+    All violations are collected and raised together as a ConfigError.
+    """
+    errors: list[tuple[str, str]] = []
+    doc = parse_document(raw)
 
     experiment = doc.get("experiment")
     if experiment not in _EXPERIMENTS:
@@ -233,6 +242,10 @@ def validate_config(raw) -> ExperimentConfig:
                     or any(not isinstance(t, _NUMERIC) or t <= 0 for t in times)
                     or sorted(times) != times):
                 errors.append(("times", "must be a sorted list of positive times"))
+        if experiment == "variance-from-dist":
+            t_min = _check_type(resolved, errors, "t_min", _NUMERIC, describe="a number")
+            if t_min is not None and not 0 < t_min <= resolved["t_max"]:
+                errors.append(("t_min", f"must satisfy 0 < t_min <= t_max, got {t_min!r}"))
 
     if errors:
         raise ConfigError(errors)

@@ -1,0 +1,68 @@
+"""CLI exit codes: 0 success, 2 validation failure, 3 numerical guard; JSON records on stderr."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from phasediff.cli import main
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_success_writes_csv_and_sidecar(tmp_path, capsys):
+    code, out, _ = run(capsys, "snr-input", "--seed", "1", "--out", str(tmp_path))
+    assert code == 0
+    written = out.split()
+    assert len(written) == 2 and all(Path(p).exists() for p in written)
+    sidecar = written[-1]
+    code, out, _ = run(capsys, "validate", "--config", sidecar)
+    assert code == 0
+    assert json.loads(out)["experiment"] == "snr-input"
+
+
+@pytest.mark.parametrize(
+    "experiment, text, field",
+    [
+        ("number-fan", "{not json", "<document>"),
+        ("number-fan", "[1, 2]", "<document>"),
+        ("variance-from-dist", '{"t_min": 0.0}', "t_min"),
+        ("variance-from-dist", '{"t_min": -0.5}', "t_min"),
+        ("variance-from-dist", '{"t_min": 3.0, "t_max": 2.0}', "t_min"),
+    ],
+)
+def test_bad_config_exits_2(tmp_path, capsys, experiment, text, field):
+    config = write(tmp_path, "cfg.json", text)
+    code, _, err = run(capsys, experiment, "--config", config, "--seed", "1",
+                       "--out", str(tmp_path))
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "validation"
+    assert [d["field"] for d in record["details"]] == [field]
+
+
+@pytest.mark.parametrize("command", ["number-fan", "validate"])
+def test_missing_config_exits_2(tmp_path, capsys, command):
+    code, _, err = run(capsys, command, "--config", str(tmp_path / "absent.json"))
+    assert code == 2
+    assert json.loads(err)["details"][0]["field"] == "--config"
+
+
+def test_guard_trip_exits_3(tmp_path, capsys):
+    config = write(tmp_path, "cfg.json", '{"cutoff_s": 8, "times": [4.0]}')
+    code, _, err = run(capsys, "dist-converge", "--config", config, "--seed", "1",
+                       "--out", str(tmp_path))
+    assert code == 3
+    record = json.loads(err)
+    assert record["error"] == "numerical-guard"
+    assert "top Fock level" in record["message"]

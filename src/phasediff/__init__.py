@@ -26,12 +26,8 @@ from .smallnoise import (
 )
 from .expansion import (
     ExpansionTable,
-    TriangularSystem,
     build_table,
-    build_triangular_system,
     g_n,
-    g_n_matrix_route,
-    g_n_iterated_route,
     initial_inverse_moments,
     mean_inverse,
     chi_n,
@@ -78,12 +74,8 @@ __all__ = [
     "small_noise_phase_variance",
     "small_noise_variance_rate",
     "ExpansionTable",
-    "TriangularSystem",
     "build_table",
-    "build_triangular_system",
     "g_n",
-    "g_n_matrix_route",
-    "g_n_iterated_route",
     "initial_inverse_moments",
     "mean_inverse",
     "chi_n",

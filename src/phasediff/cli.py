@@ -1,7 +1,10 @@
 """Command-line experiment runner.
 
 One subcommand per registered experiment, plus `validate` and `list`.  Flags
-override config-file fields.  Exit codes: 0 success, 2 validation failure,
+override config-file fields.  Every experiment subcommand takes the same
+flags, but each experiment accepts only the fields of its own schema: a flag
+for a field the experiment does not read (say --n-traj on snr-input) is a
+validation failure.  Exit codes: 0 success, 2 validation failure,
 3 numerical-guard failure; failures emit a machine-readable JSON record on
 stderr.
 """

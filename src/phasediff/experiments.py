@@ -102,7 +102,7 @@ def _run_variance_compare(cfg: ExperimentConfig):
     _check_aborts(ens, meta_extra)
     stats = ensemble_stats(ens)["phi"]
     t = ens.times
-    k = cfg.expansion_order
+    k = cfg.resolved["expansion_order"]
     v_k = phase_variance_expansion(cfg.params, cfg.input, k, t)
     v_1 = phase_variance_expansion(cfg.params, cfg.input, 1, t)
     v_sn = small_noise_phase_variance(cfg.params, cfg.input, t)
@@ -122,26 +122,25 @@ def _run_variance_compare(cfg: ExperimentConfig):
 
 
 def _run_snr_input(cfg: ExperimentConfig):
-    t = np.linspace(0.0, cfg.resolved["t_max"], int(cfg.resolved["n_time_points"]))
+    t = np.linspace(0.0, cfg.resolved["t_max"], cfg.resolved["n_time_points"])
     header, cols = ["t"], [t]
     for n0 in cfg.resolved["n0_list"]:
         header.append(f"inverse_snr_n0_{n0:g}")
-        cols.append(inverse_snr(cfg.params, CoherentInput(n0, cfg.input.theta), t))
+        cols.append(inverse_snr(cfg.params, CoherentInput(n0), t))
     prov = {h: ("grid" if h == "t" else "analytic") for h in header}
     return {"snr-input.csv": _csv_body(header, cols)}, prov, {}
 
 
 def _run_snr_nonideal(cfg: ExperimentConfig):
     pairs = [AmplifierParams(*p) for p in cfg.resolved["nonideal_pairs"]]
-    t = np.linspace(0.0, cfg.resolved["t_max"], int(cfg.resolved["n_time_points"]))
+    t = np.linspace(0.0, cfg.resolved["t_max"], cfg.resolved["n_time_points"])
     header, cols = ["t"], [t]
     for p in pairs:
         header.append(f"inverse_snr_ku{p.kappa_up:g}_kd{p.kappa_down:g}")
         cols.append(inverse_snr(p, cfg.input, t))
     time_csv = _csv_body(header, cols)
 
-    a_grid = np.linspace(0.0, cfg.resolved["input_grid_max"],
-                         int(cfg.resolved["input_grid_points"]))
+    a_grid = np.linspace(0.0, cfg.resolved["input_grid_max"], cfg.resolved["input_grid_points"])
     header2, cols2 = ["amplitude_sq"], [a_grid]
     for p in pairs:
         header2.append(f"high_gain_inverse_snr_ku{p.kappa_up:g}_kd{p.kappa_down:g}")
@@ -162,8 +161,9 @@ def _run_inverse_expansion(cfg: ExperimentConfig):
     t = ens.times
     header = ["t", "mc_mean", "mc_se"]
     cols = [t, stats.mean, stats.se_mean]
-    moments = initial_inverse_moments(cfg.input, cfg.expansion_order)
-    for k in range(1, cfg.expansion_order + 1):
+    order = cfg.resolved["expansion_order"]
+    moments = initial_inverse_moments(cfg.input, order)
+    for k in range(1, order + 1):
         header.append(f"expansion_k{k}")
         cols.append(mean_inverse(build_table(cfg.params, k), moments[:k], t))
     prov = {"t": "grid", "mc_mean": "monte-carlo", "mc_se": "monte-carlo",
@@ -172,7 +172,7 @@ def _run_inverse_expansion(cfg: ExperimentConfig):
 
 
 def _dist_cutoff(cfg: ExperimentConfig, t_final: float) -> int:
-    cut = cfg.resolved.get("cutoff_s")
+    cut = cfg.resolved["cutoff_s"]
     if cut is None:
         cut = fock_cutoff(cfg.params, cfg.input, t_final, cfg.resolved["tail_bound"])
     return int(cut)
@@ -197,7 +197,7 @@ def _run_dist_converge(cfg: ExperimentConfig):
 
 def _run_variance_from_dist(cfg: ExperimentConfig):
     times = np.linspace(cfg.resolved["t_min"], cfg.resolved["t_max"],
-                        int(cfg.resolved["n_time_points"]))
+                        cfg.resolved["n_time_points"])
     cutoff = _dist_cutoff(cfg, float(times[-1]))
     states = evolve_density_series(cfg.params, cfg.input, cutoff, times)
     phi0 = cfg.input.theta - np.pi

@@ -31,19 +31,38 @@ def test_success_writes_csv_and_sidecar(tmp_path, capsys):
     assert json.loads(out)["experiment"] == "snr-input"
 
 
+def test_analytic_experiment_ignores_sde_limits(tmp_path, capsys):
+    # t_max below the SDE default dt: snr-input runs no SDE, so nothing to reject
+    config = write(tmp_path, "cfg.json", '{"t_max": 0.0005}')
+    code, _, _ = run(capsys, "snr-input", "--config", config, "--seed", "1",
+                     "--out", str(tmp_path))
+    assert code == 0
+
+
 @pytest.mark.parametrize(
-    "experiment, text, field",
+    "command, text, field",
     [
         ("number-fan", "{not json", "<document>"),
         ("number-fan", "[1, 2]", "<document>"),
         ("variance-from-dist", '{"t_min": 0.0}', "t_min"),
         ("variance-from-dist", '{"t_min": -0.5}', "t_min"),
         ("variance-from-dist", '{"t_min": 3.0, "t_max": 2.0}', "t_min"),
+        ("snr-input", '{"n_time_points": "many"}', "n_time_points"),
+        ("snr-input", '{"n_time_points": -3}', "n_time_points"),
+        ("snr-input", '{"n0_list": "abc"}', "n0_list"),
+        ("snr-input", '{"n0_list": [0.0]}', "n0_list"),
+        ("snr-nonideal", '{"nonideal_pairs": 3}', "nonideal_pairs"),
+        ("dist-converge", '{"tail_bound": 0}', "tail_bound"),
+        ("variance-from-dist", '{"n_time_points": 0}', "n_time_points"),
+        ("snr-nonideal", '{"input_grid_points": 1.5}', "input_grid_points"),
+        ("snr-input --n-traj 5", "{}", "n_traj"),
+        ("snr-input", '{"t_max": 1e400}', "t_max"),
+        ("dist-converge", '{"theta": NaN}', "theta"),
     ],
 )
-def test_bad_config_exits_2(tmp_path, capsys, experiment, text, field):
+def test_bad_config_exits_2(tmp_path, capsys, command, text, field):
     config = write(tmp_path, "cfg.json", text)
-    code, _, err = run(capsys, experiment, "--config", config, "--seed", "1",
+    code, _, err = run(capsys, *command.split(), "--config", config, "--seed", "1",
                        "--out", str(tmp_path))
     assert code == 2
     record = json.loads(err)

@@ -1,0 +1,76 @@
+"""Per-experiment config schemas, aggregated errors and the sidecar round trip."""
+
+import json
+
+import pytest
+
+from phasediff import ConfigError, experiment_defaults, list_experiments, run_experiment
+from phasediff import validate_config
+
+AMPLIFIER = ["kappa_up", "kappa_down"]
+SDE = ["dt", "t_max", "n_traj", "floor_epsilon", "max_guard_trips", "record_every",
+       "chunk_size", "noise_thinning"]
+RUN = ["master_seed", "out"]
+
+SCHEMAS = {
+    "number-fan": AMPLIFIER + ["amplitude_sq"] + SDE + RUN,
+    "variance-compare": AMPLIFIER + ["amplitude_sq", "theta", "expansion_order"] + SDE + RUN,
+    "inverse-expansion": AMPLIFIER + ["amplitude_sq", "expansion_order"] + SDE + RUN,
+    "snr-input": AMPLIFIER + ["n0_list", "t_max", "n_time_points"] + RUN,
+    "snr-nonideal": ["amplitude_sq", "nonideal_pairs", "t_max", "n_time_points",
+                     "input_grid_max", "input_grid_points"] + RUN,
+    "dist-converge": AMPLIFIER + ["amplitude_sq", "theta", "cutoff_s", "tail_bound",
+                                  "times"] + RUN,
+    "variance-from-dist": AMPLIFIER + ["amplitude_sq", "theta", "cutoff_s", "tail_bound",
+                                       "t_min", "t_max", "n_time_points"] + RUN,
+}
+
+# seconds-long configs, one per registered experiment
+SMALL = {
+    "number-fan": {"n_traj": 20},
+    "variance-compare": {"n_traj": 40, "t_max": 1.0},
+    "inverse-expansion": {"n_traj": 40},
+    "snr-input": {},
+    "snr-nonideal": {},
+    "dist-converge": {"amplitude_sq": 6.0, "times": [0.2, 0.5]},
+    "variance-from-dist": {"t_max": 0.5, "n_time_points": 3},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(SCHEMAS))
+def test_schema_holds_the_fields_the_experiment_reads(experiment):
+    doc = experiment_defaults(experiment)
+    assert doc.pop("experiment") == experiment
+    assert sorted(doc) == sorted(SCHEMAS[experiment])
+
+
+def test_schemas_cover_every_experiment():
+    assert sorted(SCHEMAS) == sorted(SMALL) == sorted(list_experiments())
+    assert sum(len(fields) for fields in SCHEMAS.values()) == 77
+
+
+def test_analytic_objects_built_only_from_their_fields():
+    cfg = validate_config({"experiment": "snr-input", "master_seed": 1})
+    assert cfg.sde is None and cfg.input is None and cfg.params is not None
+    cfg = validate_config({"experiment": "snr-nonideal", "master_seed": 1})
+    assert cfg.sde is None and cfg.params is None and cfg.input.amplitude_sq == 3.0
+
+
+def test_errors_are_aggregated():
+    doc = {"experiment": "snr-input", "master_seed": 1,
+           "n_time_points": "many", "n0_list": [0.0], "dt": 1e-3}
+    with pytest.raises(ConfigError) as info:
+        validate_config(doc)
+    assert sorted(f for f, _ in info.value.errors) == ["dt", "n0_list", "n_time_points"]
+
+
+@pytest.mark.parametrize("experiment", sorted(SMALL))
+def test_sidecar_reruns_bit_identically(tmp_path, experiment):
+    doc = {"experiment": experiment, "master_seed": 20240611, "out": str(tmp_path),
+           **SMALL[experiment]}
+    first = run_experiment(validate_config(doc))
+    sidecar = tmp_path / f"{experiment}.meta.json"
+    second = run_experiment(validate_config(sidecar.read_text()))
+    assert second.csv_files == first.csv_files
+    for name, body in first.csv_files.items():
+        assert (tmp_path / name).read_text() == body

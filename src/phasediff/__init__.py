@@ -46,9 +46,7 @@ from .sde import (
 from .distributions import (
     FockState,
     PhaseDensity,
-    coherent_state,
     eta,
-    evolve_density,
     evolve_density_series,
     fock_cutoff,
     p_function_phase_density,
@@ -90,9 +88,7 @@ __all__ = [
     "ensemble_stats",
     "FockState",
     "PhaseDensity",
-    "coherent_state",
     "eta",
-    "evolve_density",
     "evolve_density_series",
     "fock_cutoff",
     "p_function_phase_density",

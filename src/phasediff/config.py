@@ -12,6 +12,7 @@ each naming its field.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -140,10 +141,10 @@ _CHECKS = {
 
 
 def experiment_defaults(experiment: str) -> dict:
-    """Fully-resolved default document for one experiment."""
+    """Fully-resolved default document for one experiment (a fresh copy on each call)."""
     if experiment not in _EXPERIMENTS:
         raise KeyError(experiment)
-    return {**_EXPERIMENTS[experiment][1], **_RUN, "experiment": experiment}
+    return copy.deepcopy({**_EXPERIMENTS[experiment][1], **_RUN, "experiment": experiment})
 
 
 def experiment_registry() -> dict[str, str]:
@@ -199,7 +200,8 @@ def validate_config(raw) -> ExperimentConfig:
     resolved = experiment_defaults(experiment)
     for key in sorted(set(doc) - set(resolved)):
         errors.append((key, "unknown field for this experiment"))
-    resolved.update({k: v for k, v in doc.items() if k in resolved})
+    # copied so the resolved lists are shared with neither the schema nor the caller
+    resolved.update(copy.deepcopy({k: v for k, v in doc.items() if k in resolved}))
 
     for key, value in resolved.items():
         if key != "experiment":

@@ -6,8 +6,8 @@ Two routes to the phase density of the amplified field:
   phase-space (Glauber-Sudarshan) picture for a lossless amplifier, evaluated
   in an algebraically expanded form that is free of the sec(phi - theta)
   singularity of the textbook expression.
-* evolve_density + pegg_barnett_distribution - the exact output state in a
-  truncated Fock basis, projected onto the discrete phase states
+* evolve_density_series + pegg_barnett_distribution - the exact output state
+  in a truncated Fock basis, projected onto the discrete phase states
   |phi_m> = (s+1)^(-1/2) sum_n exp(i n phi_m) |n>.
 
 The gain/loss master equation is a phase-insensitive Gaussian channel, so a
@@ -31,6 +31,9 @@ form is the untruncated state: the population past the cutoff is the trace
 missing from the truncated band.  It is added to the top level's population
 for the top-population guard and then dropped by renormalizing the truncated
 band to unit trace.
+
+FockState stores that band, not the (s+1)^2 matrix, so it is Hermitian by
+construction, and the Pegg-Barnett density is one FFT of its offset sums.
 """
 
 from __future__ import annotations
@@ -50,9 +53,7 @@ __all__ = [
     "p_function_phase_density",
     "FockState",
     "PhaseDensity",
-    "coherent_state",
     "fock_cutoff",
-    "evolve_density",
     "evolve_density_series",
     "pegg_barnett_distribution",
     "distribution_variance",
@@ -103,31 +104,40 @@ def p_function_phase_density(params: AmplifierParams, input: CoherentInput, t, p
 
 @dataclass(frozen=True, eq=False)
 class FockState:
-    """Density matrix on the number basis truncated at cutoff_s."""
+    """Density matrix truncated at cutoff_s, stored as its offset band.
+
+    band[k, n] = rho[n+k, n] for k = 0..kmax <= cutoff_s, zero past the cutoff;
+    the upper triangle is the conjugate, so the state is Hermitian by construction.
+    """
 
     cutoff_s: int
-    rho: np.ndarray
+    band: np.ndarray
 
     def __post_init__(self):
         d = self.cutoff_s + 1
-        if self.rho.shape != (d, d):
-            raise ValueError(f"rho must be {(d, d)}, got {self.rho.shape}")
-        tr = np.trace(self.rho).real
+        shape = self.band.shape
+        if len(shape) != 2 or shape[1] != d or not 1 <= shape[0] <= d:
+            raise ValueError(f"band must be (kmax+1, {d}) with kmax <= {d - 1}, got {shape}")
+        imag = np.abs(self.band[0].imag).max()
+        if imag > 1e-12:
+            raise ValueError(f"diagonal must be real within 1e-12, imaginary part {imag:.2e}")
+        past = np.arange(shape[0])[:, None] + np.arange(d) >= d
+        if np.any(self.band[past] != 0):
+            raise ValueError("band entries past the cutoff must be zero")
+        tr = self.band[0].real.sum()
         if abs(tr - 1.0) > 1e-9:
             raise ValueError(f"trace must be 1 within 1e-9, got {tr}")
-        # row blocks keep the temporaries small next to the d x d matrix
-        herm = max(
-            np.abs(self.rho[i : i + 64] - self.rho[:, i : i + 64].conj().T).max()
-            for i in range(0, d, 64)
-        )
-        if herm > 1e-12:
-            raise ValueError(f"rho must be Hermitian within 1e-12, deviation {herm:.2e}")
 
-    def mean_photon(self) -> float:
-        return float((np.arange(self.cutoff_s + 1) * np.diag(self.rho).real).sum())
-
-    def top_population(self) -> float:
-        return float(self.rho[-1, -1].real)
+    @property
+    def rho(self) -> np.ndarray:
+        """The dense (s+1) x (s+1) density matrix, built anew on each access."""
+        d = self.cutoff_s + 1
+        n = np.arange(d)
+        rho = np.diag(self.band[0].real.astype(complex))
+        for k in range(1, self.band.shape[0]):
+            rho[n[k:], n[: d - k]] = self.band[k, : d - k]
+            rho[n[: d - k], n[k:]] = self.band[k, : d - k].conj()
+        return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,20 +161,6 @@ class PhaseDensity:
     @property
     def spacing(self) -> float:
         return float(self.phi_grid[1] - self.phi_grid[0])
-
-
-def _coherent_amplitudes(input: CoherentInput, d: int) -> np.ndarray:
-    """Number-basis amplitudes of the coherent input on levels 0..d-1, unit norm."""
-    n = np.arange(d)
-    log_mag = -input.amplitude_sq / 2 + n * (np.log(input.amplitude_sq) / 2) - gammaln(n + 1) / 2
-    c = np.exp(log_mag) * np.exp(1j * n * input.theta)
-    return c / np.sqrt((np.abs(c) ** 2).sum())
-
-
-def coherent_state(input: CoherentInput, cutoff_s: int) -> FockState:
-    """Truncated coherent-state density matrix, renormalized to unit trace."""
-    c = _coherent_amplitudes(input, int(cutoff_s) + 1)
-    return FockState(cutoff_s=int(cutoff_s), rho=np.outer(c, c.conj()))
 
 
 def _chernoff_count_cutoff(coherent_part: float, thermal_part: float, tail: float) -> int:
@@ -201,10 +197,13 @@ def fock_cutoff(params: AmplifierParams, input: CoherentInput, t: float, tail: f
     return max(s_in, s_out, _MIN_CUTOFF)
 
 
-def _band_kmax(c: np.ndarray, drop_below: float = 1e-17, margin: int = 8) -> int:
-    d = len(c)
+def _band_kmax(input: CoherentInput, d: int, drop_below: float = 1e-17, margin: int = 8) -> int:
+    """Offsets the truncated, renormalized coherent input populates above drop_below, plus margin."""
+    n = np.arange(d)
+    c = np.exp(-input.amplitude_sq / 2 + n * (np.log(input.amplitude_sq) / 2) - gammaln(n + 1) / 2)
+    c /= np.sqrt((c**2).sum())
     for k in range(d):
-        if np.max(np.abs(c[k:] * np.conj(c[: d - k]))) < drop_below:
+        if np.max(c[k:] * c[: d - k]) < drop_below:
             return min(k + margin, d - 1)
     return d - 1
 
@@ -241,16 +240,6 @@ def _output_bands(
     return band * np.exp(1j * kk * input.theta)
 
 
-def _band_to_state(band: np.ndarray, d: int) -> FockState:
-    rho = np.zeros((d, d), dtype=complex)
-    for k in range(band.shape[0]):
-        idx = np.arange(d - k)
-        rho[idx + k, idx] = band[k, : d - k]
-        if k:
-            rho[idx, idx + k] = band[k, : d - k].conj()
-    return FockState(cutoff_s=d - 1, rho=rho)
-
-
 def _check_band(band: np.ndarray, d: int, t: float, escaped: float):
     top = band[0, d - 1].real + escaped
     if top > TOP_POPULATION_LIMIT:
@@ -281,43 +270,28 @@ def evolve_density_series(
     if np.any(times < 0):
         raise ValueError("times must be nonnegative")
     d = int(cutoff_s) + 1
-    kmax = _band_kmax(_coherent_amplitudes(input, d))
+    kmax = _band_kmax(input, d)
     out = []
     for t, band in zip(times, _output_bands(params, input, d, kmax, times)):
         trace = band[0].real.sum()
         _check_band(band, d, t, 1.0 - trace)
-        out.append(_band_to_state(band / trace, d))
+        out.append(FockState(cutoff_s=d - 1, band=band / trace))
     return out
-
-
-def evolve_density(
-    params: AmplifierParams,
-    input: CoherentInput,
-    cutoff_s: int,
-    t: float,
-) -> FockState:
-    """Coherent input amplified to time t, as a density matrix truncated at cutoff_s."""
-    return evolve_density_series(params, input, cutoff_s, [t])[0]
 
 
 def pegg_barnett_distribution(state: FockState, phi_0: float) -> PhaseDensity:
     """Phase density from projecting onto the s+1 discrete phase states.
 
     p(phi_m) = [(s+1)/2pi] <phi_m|rho|phi_m> on phi_m = phi_0 + 2pi m/(s+1);
-    in Fourier form (1/2pi)[1 + 2 sum_k Re(c_k e^(-ik phi))] with c_k the sum
-    of the k-th subdiagonal of rho.  The grid sum integrates to trace(rho)
-    exactly.
+    in Fourier form (1/2pi)[2 Re sum_k c_k e^(-ik phi_m) - c_0] with c_k the
+    band's offset sums: one FFT of c_k e^(-ik phi_0) zero-padded to s+1 points.
+    The grid sum integrates to trace(rho) exactly.
     """
     d = state.cutoff_s + 1
-    m = np.arange(d)
-    phi = phi_0 + 2 * np.pi * m / d
-    dens = np.full(d, np.trace(state.rho).real)
-    for k in range(1, d):
-        ck = np.trace(state.rho, offset=-k)
-        if ck == 0:
-            continue
-        dens += 2 * (ck * np.exp(-1j * k * phi)).real
-    dens /= 2 * np.pi
+    phi = phi_0 + 2 * np.pi * np.arange(d) / d
+    c = state.band.sum(axis=1)
+    spectrum = np.fft.fft(c * np.exp(-1j * np.arange(len(c)) * phi_0), n=d)
+    dens = (2 * spectrum.real - c[0].real) / (2 * np.pi)
     return PhaseDensity(phi_grid=phi, density=np.maximum(dens, 0.0), origin="pegg_barnett")
 
 

@@ -56,6 +56,20 @@ def test_analytic_objects_built_only_from_their_fields():
     assert cfg.sde is None and cfg.params is None and cfg.input.amplitude_sq == 3.0
 
 
+def test_resolved_lists_are_not_shared():
+    cfg = validate_config({"experiment": "snr-input", "master_seed": 1})
+    cfg.resolved["n0_list"].append(99.0)
+    assert experiment_defaults("snr-input")["n0_list"] == [2.0, 3.0, 6.0, 13.0]
+    assert validate_config(
+        {"experiment": "snr-input", "master_seed": 1}).resolved["n0_list"] == [2.0, 3.0, 6.0, 13.0]
+    experiment_defaults("dist-converge")["times"].append(9.0)
+    assert experiment_defaults("dist-converge")["times"] == [0.1, 4.0]
+    mine = [1.5, 2.5]
+    cfg = validate_config({"experiment": "snr-input", "master_seed": 1, "n0_list": mine})
+    cfg.resolved["n0_list"].append(99.0)
+    assert mine == [1.5, 2.5]
+
+
 def test_errors_are_aggregated():
     doc = {"experiment": "snr-input", "master_seed": 1,
            "n_time_points": "many", "n0_list": [0.0], "dt": 1e-3}

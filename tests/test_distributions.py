@@ -1,4 +1,4 @@
-"""Fock-space output state and phase densities against an RK4 oracle and closed forms."""
+"""Fock-space output state and phase densities against RK4, offset-sum and closed-form oracles."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,7 @@ from phasediff import (
     CoherentInput,
     FockState,
     GuardTripError,
-    coherent_state,
     eta,
-    evolve_density,
     evolve_density_series,
     fock_cutoff,
     mean_photon,
@@ -32,7 +30,7 @@ def random_params(rng):
 
 
 def rk4_master_equation(params, input, cutoff_s, times):
-    """Density matrices from classical RK4 on the truncated master equation.
+    """Offset bands from classical RK4 on the truncated master equation.
 
     The band B[k, n] = rho[n+k, n] is stepped with the cutoff-truncated gain
     and loss operators, which keeps the trace at 1 on the truncated space: the
@@ -85,17 +83,50 @@ def rk4_master_equation(params, input, cutoff_s, times):
             k4 = rhs(band + h * k3)
             band = band + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t_now = t
-        rho = np.zeros((d, d), dtype=complex)
-        for k in range(kmax + 1):
-            idx = np.arange(d - k)
-            rho[idx + k, idx] = band[k, : d - k]
-            rho[idx, idx + k] = band[k, : d - k].conj()
-        out.append(rho)
+        out.append(band)
     return out
 
 
+def coherent_state(input, cutoff_s):
+    """Truncated coherent-state density matrix, renormalized to unit trace.
+
+    The amplitudes come from the recurrence c_n = c_(n-1) alpha / sqrt(n),
+    not from the log-gamma form the package uses.
+    """
+    alpha = np.sqrt(input.amplitude_sq) * np.exp(1j * input.theta)
+    c = np.empty(cutoff_s + 1, dtype=complex)
+    c[0] = np.exp(-input.amplitude_sq / 2)
+    for n in range(1, cutoff_s + 1):
+        c[n] = c[n - 1] * alpha / np.sqrt(n)
+    c /= np.linalg.norm(c)
+    return np.outer(c, c.conj())
+
+
+def pegg_barnett_by_offsets(rho, phi_0):
+    """Pegg-Barnett density summed offset by offset from the dense matrix."""
+    d = len(rho)
+    phi = phi_0 + 2 * np.pi * np.arange(d) / d
+    dens = np.full(d, np.trace(rho).real)
+    for k in range(1, d):
+        dens += 2 * (np.trace(rho, offset=-k) * np.exp(-1j * k * phi)).real
+    return np.maximum(dens / (2 * np.pi), 0.0)
+
+
+def band_of(rho, kmax):
+    """Offset band of a dense matrix, zero past the cutoff."""
+    d = len(rho)
+    band = np.zeros((kmax + 1, d), dtype=complex)
+    for k in range(kmax + 1):
+        band[k, : d - k] = np.diagonal(rho, -k)
+    return band
+
+
+def evolve(params, input, cutoff_s, t):
+    return evolve_density_series(params, input, cutoff_s, [t])[0]
+
+
 def photon_moments(state):
-    p = np.diag(state.rho).real
+    p = state.band[0].real
     n = np.arange(len(p))
     mean = (n * p).sum()
     return p.sum(), mean, ((n - mean) ** 2 * p).sum()
@@ -113,9 +144,10 @@ class TestClosedFormAgainstRk4:
     def test_density_and_pegg_barnett_agree(self, params, input, times):
         cutoff = fock_cutoff(params, input, times[-1])
         states = evolve_density_series(params, input, cutoff, times)
-        for state, rho in zip(states, rk4_master_equation(params, input, cutoff, times)):
-            assert np.abs(state.rho - rho).max() < 1e-10
-            oracle = FockState(cutoff_s=cutoff, rho=rho)
+        for state, band in zip(states, rk4_master_equation(params, input, cutoff, times)):
+            assert state.band.shape == band.shape
+            assert np.abs(state.band - band).max() < 1e-10
+            oracle = FockState(cutoff_s=cutoff, band=band)
             pb = pegg_barnett_distribution(state, input.theta - np.pi).density
             pb_oracle = pegg_barnett_distribution(oracle, input.theta - np.pi).density
             assert np.abs(pb - pb_oracle).max() < 1e-10
@@ -124,7 +156,7 @@ class TestClosedFormAgainstRk4:
         inp = CoherentInput(2.25, 0.4)
         series = evolve_density_series(LOSSY, inp, 80, [0.6, 0.1, 0.3])
         for t, state in zip([0.6, 0.1, 0.3], series):
-            np.testing.assert_array_equal(state.rho, evolve_density(LOSSY, inp, 80, t).rho)
+            np.testing.assert_array_equal(state.band, evolve(LOSSY, inp, 80, t).band)
 
 
 class TestPhotonStatistics:
@@ -134,7 +166,7 @@ class TestPhotonStatistics:
             params = random_params(rng)
             inp = CoherentInput(rng.uniform(0.5, 8.0), rng.uniform(-np.pi, np.pi))
             t = rng.uniform(0.05, 1.5)
-            state = evolve_density(params, inp, fock_cutoff(params, inp, t), t)
+            state = evolve(params, inp, fock_cutoff(params, inp, t), t)
             trace, mean, var = photon_moments(state)
             assert trace == pytest.approx(1.0, abs=1e-12)
             assert mean == pytest.approx(mean_photon(params, inp.amplitude_sq, t), rel=1e-9)
@@ -147,11 +179,11 @@ class TestPhotonStatistics:
     def test_small_time_is_the_coherent_input(self, t):
         inp = CoherentInput(3.0, 1.1)
         for params in (IDEAL_1, LOSSY):
-            state = evolve_density(params, inp, 60, t)
-            np.testing.assert_allclose(state.rho, coherent_state(inp, 60).rho, rtol=0, atol=1e-8)
+            state = evolve(params, inp, 60, t)
+            np.testing.assert_allclose(state.rho, coherent_state(inp, 60), rtol=0, atol=1e-8)
         if t == 0.0:
-            exact = evolve_density(LOSSY, inp, 60, 0.0).rho
-            assert np.abs(exact - coherent_state(inp, 60).rho).max() < 1e-15
+            exact = evolve(LOSSY, inp, 60, 0.0).rho
+            assert np.abs(exact - coherent_state(inp, 60)).max() < 1e-15
 
     @pytest.mark.parametrize(
         "params, amplitude_sq, t, tail",
@@ -165,7 +197,7 @@ class TestPhotonStatistics:
     def test_fock_cutoff_tail_is_below_bound(self, params, amplitude_sq, t, tail):
         inp = CoherentInput(amplitude_sq, 0.0)
         s = fock_cutoff(params, inp, t, tail)
-        populations = np.diag(evolve_density(params, inp, 2 * s, t).rho).real
+        populations = evolve(params, inp, 2 * s, t).band[0].real
         assert populations[s + 1:].sum() <= tail
 
 
@@ -176,13 +208,13 @@ class TestGuards:
 
     def test_guard_counts_population_past_the_cutoff(self):
         inp = CoherentInput(2.25, 0.0)
-        p = np.diag(evolve_density(IDEAL_1, inp, 400, 2.0).rho).real
+        p = evolve(IDEAL_1, inp, 400, 2.0).band[0].real
         at_or_past = p[::-1].cumsum()[::-1]
         # a cutoff whose top level alone passes but whose escaped population does not
         s = int(np.flatnonzero((p < 1e-6) & (at_or_past > 2e-6))[0])
         with pytest.raises(GuardTripError, match="top Fock level"):
-            evolve_density(IDEAL_1, inp, s, 2.0)
-        evolve_density(IDEAL_1, inp, fock_cutoff(IDEAL_1, inp, 2.0), 2.0)
+            evolve(IDEAL_1, inp, s, 2.0)
+        evolve(IDEAL_1, inp, fock_cutoff(IDEAL_1, inp, 2.0), 2.0)
 
     def test_band_edge_guard(self):
         band = np.zeros((6, 20), dtype=complex)
@@ -198,24 +230,67 @@ class TestGuards:
 
 
 class TestFockState:
-    def test_rejects_non_hermitian_rho(self):
-        rho = coherent_state(CoherentInput(2.0, 0.3), 150).rho
-        FockState(cutoff_s=150, rho=rho)
-        for i, j in ((0, 1), (3, 140), (149, 70)):
-            bad = rho.copy()
-            bad[i, j] += 1e-11
-            with pytest.raises(ValueError, match="Hermitian"):
-                FockState(cutoff_s=150, rho=bad)
+    def test_rejects_malformed_bands(self):
+        good = band_of(coherent_state(CoherentInput(2.0, 0.3), 30), 12)
+        FockState(cutoff_s=30, band=good)
+        for shape in ((13, 30), (13, 32), (32, 31), (31,), (0, 31)):
+            with pytest.raises(ValueError, match="band must be"):
+                FockState(cutoff_s=30, band=np.zeros(shape, dtype=complex))
+        cases = {
+            "diagonal must be real": (0, 2, 1e-11j),
+            "past the cutoff": (12, 25, 1e-300),
+            "trace must be 1": (0, 5, 1e-8),
+        }
+        for message, (k, n, delta) in cases.items():
+            bad = good.copy()
+            bad[k, n] += delta
+            with pytest.raises(ValueError, match=message):
+                FockState(cutoff_s=30, band=bad)
+
+    def test_dense_view_is_the_band_and_exactly_hermitian(self):
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            params = random_params(rng)
+            inp = CoherentInput(rng.uniform(0.5, 8.0), rng.uniform(-np.pi, np.pi))
+            t = rng.uniform(0.05, 1.5)
+            state = evolve(params, inp, fock_cutoff(params, inp, t), t)
+            rho = state.rho
+            d = state.cutoff_s + 1
+            kmax = state.band.shape[0] - 1
+            for k in range(kmax + 1):
+                np.testing.assert_array_equal(np.diagonal(rho, -k), state.band[k, : d - k])
+            assert not np.any(np.tril(rho, -kmax - 1))
+            np.testing.assert_array_equal(rho, rho.conj().T)
 
 
 class TestPhaseDensities:
     def test_pegg_barnett_is_normalized(self):
         inp = CoherentInput(2.25, 0.3)
         for params, t in ((IDEAL_1, 0.5), (LOSSY, 1.0)):
-            pb = pegg_barnett_distribution(
-                evolve_density(params, inp, fock_cutoff(params, inp, t), t), -2.0
-            )
+            pb = pegg_barnett_distribution(evolve(params, inp, fock_cutoff(params, inp, t), t), -2.0)
             assert pb.density.sum() * pb.spacing == pytest.approx(1.0, abs=1e-12)
+
+    def test_fft_matches_the_offset_sums(self):
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            params = random_params(rng)
+            inp = CoherentInput(rng.uniform(0.5, 8.0), rng.uniform(-np.pi, np.pi))
+            t = rng.uniform(0.05, 1.5)
+            phi_0 = rng.uniform(-np.pi, np.pi)
+            state = evolve(params, inp, fock_cutoff(params, inp, t), t)
+            pb = pegg_barnett_distribution(state, phi_0).density
+            assert np.abs(pb - pegg_barnett_by_offsets(state.rho, phi_0)).max() < 1e-13
+
+    def test_fft_matches_the_offset_sums_on_a_full_width_band(self):
+        rng = np.random.default_rng(19)
+        for cutoff in (8, 33, 64):
+            a = rng.normal(size=(cutoff + 1, 3)) + 1j * rng.normal(size=(cutoff + 1, 3))
+            rho = a @ a.conj().T
+            rho /= np.trace(rho).real
+            state = FockState(cutoff_s=cutoff, band=band_of(rho, cutoff))
+            phi_0 = rng.uniform(-np.pi, np.pi)
+            pb = pegg_barnett_distribution(state, phi_0).density
+            assert np.abs(pb - pegg_barnett_by_offsets(rho, phi_0)).max() < 1e-13
 
     def test_p_function_is_normalized_and_symmetric(self):
         rng = np.random.default_rng(5)

@@ -12,18 +12,11 @@ from .params import AmplifierParams, CoherentInput
 from .moments import (
     gain,
     mean_photon,
-    second_moment_photon,
     photon_variance,
     inverse_snr,
     high_gain_inverse_snr,
-    small_noise_inverse_mean,
 )
-from .smallnoise import (
-    SmallNoiseConstants,
-    small_noise_constants,
-    small_noise_phase_variance,
-    small_noise_variance_rate,
-)
+from .smallnoise import small_noise_phase_variance
 from .expansion import (
     ExpansionTable,
     build_table,
@@ -31,7 +24,6 @@ from .expansion import (
     initial_inverse_moments,
     mean_inverse,
     chi_n,
-    chi_n_ideal,
     phase_variance_expansion,
     truncation_diagnostic,
 )
@@ -62,22 +54,16 @@ __all__ = [
     "CoherentInput",
     "gain",
     "mean_photon",
-    "second_moment_photon",
     "photon_variance",
     "inverse_snr",
     "high_gain_inverse_snr",
-    "small_noise_inverse_mean",
-    "SmallNoiseConstants",
-    "small_noise_constants",
     "small_noise_phase_variance",
-    "small_noise_variance_rate",
     "ExpansionTable",
     "build_table",
     "g_n",
     "initial_inverse_moments",
     "mean_inverse",
     "chi_n",
-    "chi_n_ideal",
     "phase_variance_expansion",
     "truncation_diagnostic",
     "SdeConfig",

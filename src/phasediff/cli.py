@@ -60,6 +60,9 @@ def _load_document(args) -> dict:
     doc: dict = {}
     if args.config is not None:
         doc = parse_document(_read_config(args.config))
+    named = doc.get("experiment", args.command)
+    if named != args.command:
+        raise ConfigError([("experiment", f"the config is for {named!r}, not {args.command!r}")])
     doc["experiment"] = args.command
     for key in ("master_seed", "out", "expansion_order", "n_traj", "dt", "t_max"):
         value = getattr(args, key, None)

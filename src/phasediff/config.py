@@ -90,8 +90,6 @@ _EXPERIMENTS: dict[str, tuple[str, dict]] = {
     ),
 }
 
-_IDEAL_ONLY = {"dist-converge", "variance-from-dist"}
-
 
 def _integer(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
@@ -235,10 +233,6 @@ def validate_config(raw) -> ExperimentConfig:
                 "the inverse-moment expansion needs amplitude_sq > 1 "
                 f"(initial moments 1/N^n(0) diverge otherwise); got {resolved['amplitude_sq']}",
             ))
-        if experiment in _IDEAL_ONLY and resolved["kappa_down"] != 0.0:
-            errors.append(("kappa_down",
-                           "the closed-form phase density needs the lossless amplifier "
-                           "(kappa_down = 0)"))
         for i, pair in enumerate(resolved.get("nonideal_pairs", [])):
             try:
                 AmplifierParams(*pair)

@@ -2,10 +2,11 @@
 
 Two routes to the phase density of the amplified field:
 
-* p_function_phase_density - the closed-form high-gain density of the
-  phase-space (Glauber-Sudarshan) picture for a lossless amplifier, evaluated
-  in an algebraically expanded form that is free of the sec(phi - theta)
-  singularity of the textbook expression.
+* p_function_phase_density - the closed-form density of the phase-space
+  (Glauber-Sudarshan) picture, a function of the signal-to-noise ratio
+  eta = |beta|^2/nbar alone (so it holds with loss as well as without),
+  evaluated in an algebraically expanded form that is free of the
+  sec(phi - theta) singularity of the textbook expression.
 * evolve_density_series + pegg_barnett_distribution - the exact output state
   in a truncated Fock basis, projected onto the discrete phase states
   |phi_m> = (s+1)^(-1/2) sum_n exp(i n phi_m) |n>.
@@ -66,17 +67,15 @@ _MIN_CUTOFF = 48
 def eta(params: AmplifierParams, amplitude_sq: float, t):
     """Amplified signal normalized by the spontaneous-emission noise.
 
-    eta = G_t |alpha|^2 / (G_t - 1) for the lossless amplifier; tends to
-    |alpha|^2 in the high-gain limit and diverges as t -> 0.
+    eta = |beta|^2 / nbar = G_t |alpha|^2 / (r (G_t - 1)), r = kappa_up/kappa_minus;
+    tends to |alpha|^2 / r in the high-gain limit and diverges as t -> 0.
     """
-    if not params.ideal():
-        raise ValueError("eta is defined for the lossless amplifier (kappa_down = 0)")
     t = np.asarray(t, dtype=float)
-    x = params.kappa_up * t
+    x = params.kappa_minus * t
     if np.any(x <= 1e-12):
         raise ValueError("gain must exceed 1 (t too small)")
     # G/(G-1) = 1/(1 - 1/G)
-    return np.asarray(amplitude_sq, dtype=float) / (-np.expm1(-x))
+    return np.asarray(amplitude_sq, dtype=float) / (params.noise_ratio * -np.expm1(-x))
 
 
 def p_function_phase_density(params: AmplifierParams, input: CoherentInput, t, phi):

@@ -11,6 +11,10 @@ their closed form; the tests cross-check them against two independent routes
 n <= 3).  Integrating kappa_up/2 * g_n produces the phase-variance weights
 chi_n(t).
 
+beta_{k,n} does not depend on K, so the order-k truncation is a prefix of the
+order-K sum: mean_inverse and phase_variance_expansion build one table and
+return every order 1..K at once, as the cumulative sum of the per-order terms.
+
 The series is asymptotic in practice: |beta_{k,n}| grows like [(n-1)!]^2, so
 beta is assembled from log magnitudes with sign tracking, and evaluations for
 n beyond ~10 lose significance to cancellation.  truncation_diagnostic reports
@@ -19,7 +23,6 @@ when the last retained term is no longer small.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,13 +36,10 @@ __all__ = [
     "initial_inverse_moments",
     "mean_inverse",
     "chi_n",
-    "chi_n_ideal",
     "phase_variance_expansion",
     "TruncationDiagnostic",
     "truncation_diagnostic",
 ]
-
-DEFAULT_ORDER = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,20 +118,22 @@ def initial_inverse_moments(input: CoherentInput, order_k: int) -> np.ndarray:
     return input.amplitude_sq ** (-n.astype(float))
 
 
-def mean_inverse(table: ExpansionTable, initial_moments, t):
-    """E[1/N(t)] ~= sum_n g_n(t) E[1/N^n(0)] truncated at the table order."""
-    m = np.asarray(initial_moments, dtype=float)
-    if m.size < table.order_k:
-        raise ValueError(
-            f"need at least {table.order_k} initial moments, got {m.size}"
-        )
-    if np.any(m[: table.order_k] <= 0):
-        raise ValueError("initial inverse moments must be positive")
+def _partial_sums(weight, params, input, order_k, t):
+    """Rows k-1 = sum_{n<=k} weight_n(t) E[1/N^n(0)], k = 1..order_k, from one table."""
+    table = build_table(params, order_k)
+    moments = initial_inverse_moments(input, table.order_k)
     t = np.asarray(t, dtype=float)
-    total = np.zeros(t.shape)
-    for n in range(1, table.order_k + 1):
-        total = total + g_n(table, n, t) * m[n - 1]
-    return total
+    return np.cumsum(
+        [weight(table, n, t) * moments[n - 1] for n in range(1, table.order_k + 1)], axis=0
+    )
+
+
+def mean_inverse(params: AmplifierParams, input: CoherentInput, order_k: int, t):
+    """E[1/N(t)] ~= sum_n g_n(t) E[1/N^n(0)] at every truncation order 1..order_k.
+
+    Returns an (order_k, *t.shape) array whose row k-1 is the order-k sum.
+    """
+    return _partial_sums(g_n, params, input, order_k, t)
 
 
 def chi_n(table: ExpansionTable, n: int, t):
@@ -150,47 +152,15 @@ def chi_n(table: ExpansionTable, n: int, t):
     return 0.5 * table.params.kappa_up * (np.expm1(np.multiply.outer(t, table.b[:n])) @ w)
 
 
-def chi_n_ideal(n: int, g_t):
-    """chi_n for the lossless amplifier as an explicit function of the gain.
+def phase_variance_expansion(params: AmplifierParams, input: CoherentInput, order_k: int, t):
+    """V[Phi(t)] = sum_n chi_n(t) E[1/N^n(0)] at every truncation order 1..order_k.
 
-    chi_n = ([(n-1)!]^2 / 2) sum_k (1 - G^-k) / (k prod_{j != k} (j - k));
-    independent of kappa_up once expressed through G.  The j = k factor is
-    skipped, so the k = 1, n = 1 product is empty (= 1).
+    Returns an (order_k, *t.shape) array whose row k-1 is the order-k sum.
+    E[Phi(t)] stays at Phi(0) (the phase is driven by pure noise) and the
+    coherent input carries no initial phase spread, so the second moment
+    carries the whole time dependence.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g_t = np.asarray(g_t, dtype=float)
-    if np.any(g_t < 1):
-        raise ValueError("gain must be >= 1")
-    pref = math.exp(2 * math.lgamma(n))  # [(n-1)!]^2
-    total = np.zeros(g_t.shape)
-    for k in range(1, n + 1):
-        # prod_{j != k}(j - k) = (-1)^(k-1) (k-1)! (n-k)!
-        log_den = math.lgamma(k) + math.lgamma(n - k + 1)
-        sign = -1.0 if (k - 1) % 2 else 1.0
-        total = total + sign * (-np.expm1(-k * np.log(g_t))) / k * math.exp(-log_den)
-    return 0.5 * pref * total
-
-
-def phase_variance_expansion(
-    params: AmplifierParams,
-    input: CoherentInput,
-    order_k: int,
-    t,
-    initial_variance: float = 0.0,
-):
-    """V[Phi(t)] = V[Phi(0)] + sum_n chi_n(t) E[1/N^n(0)] truncated at order_k.
-
-    E[Phi(t)] stays at Phi(0) (the phase is driven by pure noise), so the
-    second moment carries the whole time dependence.
-    """
-    table = build_table(params, order_k)
-    moments = initial_inverse_moments(input, order_k)
-    t = np.asarray(t, dtype=float)
-    total = np.full(t.shape, float(initial_variance))
-    for n in range(1, order_k + 1):
-        total = total + chi_n(table, n, t) * moments[n - 1]
-    return total
+    return _partial_sums(chi_n, params, input, order_k, t)
 
 
 @dataclass(frozen=True)
@@ -200,20 +170,20 @@ class TruncationDiagnostic:
     flagged: bool
 
 
-def truncation_diagnostic(
-    params: AmplifierParams, input: CoherentInput, order_k: int, t
-) -> TruncationDiagnostic:
+def truncation_diagnostic(orders) -> TruncationDiagnostic:
     """Share of the phase variance carried by the last retained order.
 
-    There is no a-priori rule for where the asymptotic series turns; as a
-    heuristic the last term contributing more than 20% of the order-K value
-    anywhere on the grid is flagged.  K = 1 has nothing to compare against.
+    orders is the (K, ...) array of phase_variance_expansion; its last two
+    rows are the order-K and order-(K-1) values.  There is no a-priori rule
+    for where the asymptotic series turns; as a heuristic the last term
+    contributing more than 20% of the order-K value anywhere on the grid is
+    flagged.  K = 1 has nothing to compare against.
     """
+    orders = np.asarray(orders, dtype=float)
+    order_k = len(orders)
     if order_k == 1:
         return TruncationDiagnostic(order_k=1, last_term_share=float("nan"), flagged=False)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    v_k = phase_variance_expansion(params, input, order_k, t)
-    v_km1 = phase_variance_expansion(params, input, order_k - 1, t)
+    v_k, v_km1 = orders[-1], orders[-2]
     nonzero = v_k != 0
     share = float(np.max(np.abs(v_k - v_km1)[nonzero] / np.abs(v_k)[nonzero], initial=0.0))
     return TruncationDiagnostic(order_k=order_k, last_term_share=share, flagged=share > 0.20)

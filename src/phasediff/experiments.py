@@ -27,8 +27,7 @@ from .distributions import (
     pegg_barnett_distribution,
 )
 from .errors import GuardTripError
-from .expansion import phase_variance_expansion, truncation_diagnostic
-from .expansion import build_table, initial_inverse_moments, mean_inverse
+from .expansion import mean_inverse, phase_variance_expansion, truncation_diagnostic
 from .moments import high_gain_inverse_snr, inverse_snr, mean_photon
 from .params import AmplifierParams, CoherentInput
 from .sde import ensemble_stats, simulate_inverse, simulate_polar
@@ -103,10 +102,9 @@ def _run_variance_compare(cfg: ExperimentConfig):
     stats = ensemble_stats(ens)["phi"]
     t = ens.times
     k = cfg.resolved["expansion_order"]
-    v_k = phase_variance_expansion(cfg.params, cfg.input, k, t)
-    v_1 = phase_variance_expansion(cfg.params, cfg.input, 1, t)
+    orders = phase_variance_expansion(cfg.params, cfg.input, k, t)
     v_sn = small_noise_phase_variance(cfg.params, cfg.input, t)
-    diag = truncation_diagnostic(cfg.params, cfg.input, k, t)
+    diag = truncation_diagnostic(orders)
     meta_extra["truncation_diagnostic"] = {
         "order_k": diag.order_k,
         "last_term_share": diag.last_term_share,
@@ -114,7 +112,7 @@ def _run_variance_compare(cfg: ExperimentConfig):
     }
     header = ["t", "sample_variance", "sample_variance_se",
               f"expansion_k{k}", "expansion_k1", "small_noise"]
-    cols = [t, stats.variance, stats.se_variance, v_k, v_1, v_sn]
+    cols = [t, stats.variance, stats.se_variance, orders[-1], orders[0], v_sn]
     prov = {"t": "grid", "sample_variance": "monte-carlo",
             "sample_variance_se": "monte-carlo", f"expansion_k{k}": "analytic",
             "expansion_k1": "analytic", "small_noise": "analytic"}
@@ -161,11 +159,10 @@ def _run_inverse_expansion(cfg: ExperimentConfig):
     t = ens.times
     header = ["t", "mc_mean", "mc_se"]
     cols = [t, stats.mean, stats.se_mean]
-    order = cfg.resolved["expansion_order"]
-    moments = initial_inverse_moments(cfg.input, order)
-    for k in range(1, order + 1):
+    orders = mean_inverse(cfg.params, cfg.input, cfg.resolved["expansion_order"], t)
+    for k, row in enumerate(orders, start=1):
         header.append(f"expansion_k{k}")
-        cols.append(mean_inverse(build_table(cfg.params, k), moments[:k], t))
+        cols.append(row)
     prov = {"t": "grid", "mc_mean": "monte-carlo", "mc_se": "monte-carlo",
             "expansion_k*": "analytic"}
     return {"inverse-expansion.csv": _csv_body(header, cols)}, prov, meta_extra

@@ -14,11 +14,9 @@ from .params import AmplifierParams, CoherentInput
 __all__ = [
     "gain",
     "mean_photon",
-    "second_moment_photon",
     "photon_variance",
     "inverse_snr",
     "high_gain_inverse_snr",
-    "small_noise_inverse_mean",
 ]
 
 
@@ -43,27 +41,6 @@ def mean_photon(params: AmplifierParams, n0: float, t):
         raise ValueError("n0 must be >= 0")
     x = _log_gain(params, t)
     return n0 * np.exp(x) + params.noise_ratio * np.expm1(x)
-
-
-def second_moment_photon(params: AmplifierParams, n0: float, n0_sq: float, t):
-    """E[N^2(t)] for an initial distribution with mean n0 and second moment n0_sq.
-
-    n0_sq is taken as given (for a coherent phase-space point it equals n0^2);
-    no distributional assumption beyond n0_sq >= n0^2 is made.
-    """
-    if n0 < 0:
-        raise ValueError("n0 must be >= 0")
-    if n0_sq < n0**2 * (1 - 1e-12):
-        raise ValueError(f"n0_sq must be >= n0^2, got n0_sq={n0_sq}, n0^2={n0**2}")
-    km = params.kappa_minus
-    ku = params.kappa_up
-    x = _log_gain(params, t)
-    ex = np.exp(x)
-    # G^2(1 - 1/G) = G(G-1) and G^2(1 - 1/G^2) = G^2 - 1, kept in expm1 form
-    return ex**2 * n0_sq + 4 * ku * (
-        ((km * n0 + ku) / km**2) * ex * np.expm1(x)
-        - (ku / (2 * km**2)) * np.expm1(2 * x)
-    )
 
 
 def photon_variance(params: AmplifierParams, input: CoherentInput, t):
@@ -101,8 +78,3 @@ def high_gain_inverse_snr(params: AmplifierParams, amplitude_sq: float):
     r = params.noise_ratio
     return (2 * amplitude_sq * r + r**2) / (amplitude_sq + r) ** 2
 
-
-def small_noise_inverse_mean(params: AmplifierParams, input: CoherentInput, t):
-    """Second-order Taylor estimate of E[1/N(t)]: (1 + 1/sigma(t)) / E[N(t)]."""
-    mean = mean_photon(params, input.amplitude_sq, t)
-    return (1.0 + inverse_snr(params, input, t)) / mean

@@ -37,10 +37,6 @@ class AmplifierParams:
         """kappa_up / kappa_minus; scales the spontaneous-emission term."""
         return self.kappa_up / self.kappa_minus
 
-    def ideal(self) -> bool:
-        """True when no loss channel is present (minimum added noise)."""
-        return self.kappa_down == 0.0
-
 
 @dataclass(frozen=True)
 class CoherentInput:

@@ -65,6 +65,10 @@ class SdeConfig:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.t_max < self.dt:
             raise ValueError(f"t_max must be >= dt, got {self.t_max}")
+        steps = self.t_max / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(
+                f"t_max must be a whole number of steps dt, got t_max/dt = {steps!r}")
         if self.n_traj < 1:
             raise ValueError(f"n_traj must be >= 1, got {self.n_traj}")
         if not 0 <= int(self.master_seed) < 2**64:

@@ -8,57 +8,24 @@ variance at every time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .moments import _log_gain, mean_photon
+from .moments import _log_gain
 from .params import AmplifierParams, CoherentInput
 
-__all__ = [
-    "SmallNoiseConstants",
-    "small_noise_constants",
-    "small_noise_phase_variance",
-    "small_noise_variance_rate",
-]
+__all__ = ["small_noise_phase_variance"]
 
 
-@dataclass(frozen=True)
-class SmallNoiseConstants:
-    """Constants of the mean-photon curve E[N(t)] = a G_t + b."""
-
-    a: float
-    b: float
-
-
-def small_noise_constants(params: AmplifierParams, input: CoherentInput) -> SmallNoiseConstants:
-    r = params.noise_ratio
-    return SmallNoiseConstants(a=input.amplitude_sq + r, b=-r)
-
-
-def small_noise_phase_variance(
-    params: AmplifierParams,
-    input: CoherentInput,
-    t,
-    initial_variance: float = 0.0,
-):
+def small_noise_phase_variance(params: AmplifierParams, input: CoherentInput, t):
     """Closed-form V[Phi(t)] with E[1/N] replaced by 1/E[N].
 
-    V(t) = V(0) + (1/2) ln[(n0 + r)/n0] + (1/2) ln[1 - r/((n0 + r) G_t)],
-    r = kappa_up/kappa_minus.  Both logs are evaluated as log1p so the large-G
-    tail (argument -> 1) keeps full precision.  V(0) is zero for a coherent
-    phase-space point; pass initial_variance for inputs with intrinsic spread.
+    V(t) = (1/2) ln[(n0 + r)/n0] + (1/2) ln[1 - r/((n0 + r) G_t)],
+    r = kappa_up/kappa_minus, starting from V(0) = 0 for the coherent
+    phase-space point.  Both logs are evaluated as log1p so the large-G tail
+    (argument -> 1) keeps full precision.
     """
     n0 = input.amplitude_sq
     r = params.noise_ratio
     x = _log_gain(params, t)
-    return (
-        initial_variance
-        + 0.5 * np.log1p(r / n0)
-        + 0.5 * np.log1p(-r / ((n0 + r) * np.exp(x)))
-    )
+    return 0.5 * np.log1p(r / n0) + 0.5 * np.log1p(-r / ((n0 + r) * np.exp(x)))
 
-
-def small_noise_variance_rate(params: AmplifierParams, input: CoherentInput, t):
-    """d/dt of the small-noise phase variance: kappa_up / (2 E[N(t)])."""
-    return params.kappa_up / (2.0 * mean_photon(params, input.amplitude_sq, t))

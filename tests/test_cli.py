@@ -58,6 +58,7 @@ def test_analytic_experiment_ignores_sde_limits(tmp_path, capsys):
         ("snr-input --n-traj 5", "{}", "n_traj"),
         ("snr-input", '{"t_max": 1e400}', "t_max"),
         ("dist-converge", '{"theta": NaN}', "theta"),
+        ("number-fan --t-max 2.05 --dt 0.1", "{}", "dt/t_max/n_traj"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, command, text, field):
@@ -68,6 +69,16 @@ def test_bad_config_exits_2(tmp_path, capsys, command, text, field):
     record = json.loads(err)
     assert record["error"] == "validation"
     assert [d["field"] for d in record["details"]] == [field]
+
+
+def test_sidecar_of_another_experiment_exits_2(tmp_path, capsys):
+    # number-fan's fields all fit variance-compare's schema, so only the name tells
+    code, out, _ = run(capsys, "number-fan", "--seed", "1", "--n-traj", "4",
+                       "--out", str(tmp_path))
+    assert code == 0
+    code, _, err = run(capsys, "variance-compare", "--config", out.split()[-1])
+    assert code == 2
+    assert [d["field"] for d in json.loads(err)["details"]] == ["experiment"]
 
 
 @pytest.mark.parametrize("command", ["number-fan", "validate"])

@@ -308,6 +308,33 @@ class TestPhaseDensities:
                 rtol=1e-12, atol=1e-15,
             )
 
+    @pytest.mark.parametrize("kappa_down", [0.0, 0.3, 0.8])
+    def test_eta_is_the_signal_to_noise_ratio_of_the_fock_state(self, kappa_down):
+        # eta = |<a>|^2 / nbar with nbar = <N> - |<a>|^2 the thermal occupation
+        params = AmplifierParams(1.0, kappa_down)
+        inp = CoherentInput(3.0, 0.6)
+        for t in (0.2, 1.0, 2.5):
+            state = evolve(params, inp, fock_cutoff(params, inp, t), t)
+            n = np.arange(state.cutoff_s + 1)
+            a_mean = (np.sqrt(n + 1) * state.band[1]).sum()
+            n_mean = (n * state.band[0].real).sum()
+            signal = abs(a_mean) ** 2
+            assert eta(params, inp.amplitude_sq, t) == pytest.approx(
+                signal / (n_mean - signal), rel=1e-9)
+
+    def test_lossy_p_function_approaches_pegg_barnett(self):
+        # with loss the P-function density still converges to the Fock
+        # reference as the gain grows
+        params, inp = LOSSY, CoherentInput(6.0, 0.0)
+        times = [0.3, 3.0]
+        cutoff = fock_cutoff(params, inp, times[-1])
+        distances = []
+        for t, state in zip(times, evolve_density_series(params, inp, cutoff, times)):
+            pb = pegg_barnett_distribution(state, inp.theta - np.pi)
+            p = p_function_phase_density(params, inp, t, pb.phi_grid)
+            distances.append(np.abs(p - pb.density).sum() * pb.spacing)
+        assert distances[-1] < distances[0] / 10
+
     def test_p_function_tends_to_uniform_as_eta_vanishes(self):
         grid = np.linspace(-np.pi, np.pi, 257)
         previous = np.inf

@@ -2,9 +2,12 @@
 
 The closed-form coefficients in phasediff.expansion are checked against two
 oracles kept here: the eigendecomposition of the truncated hierarchy matrix
-and the iterated-integral solution for n <= 3.
+and the iterated-integral solution for n <= 3.  The chi weights are checked
+against their lossless closed form in the gain, and the all-orders evaluation
+against one table per order.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +19,6 @@ from phasediff import (
     CoherentInput,
     build_table,
     chi_n,
-    chi_n_ideal,
     g_n,
     gain,
     initial_inverse_moments,
@@ -100,6 +102,38 @@ def g_n_iterated_route(params: AmplifierParams, n: int, t):
             np.exp(b(2) * t) - np.exp(b(1) * t)
         )
     raise ValueError(f"iterated-integral closed forms stop at n = 3, got n = {n}")
+
+
+def chi_n_ideal(n: int, g_t):
+    """chi_n for the lossless amplifier as an explicit function of the gain.
+
+    chi_n = ([(n-1)!]^2 / 2) sum_k (1 - G^-k) / (k prod_{j != k} (j - k));
+    independent of kappa_up once expressed through G.  The j = k factor is
+    skipped, so the k = 1, n = 1 product is empty (= 1).
+    """
+    g_t = np.asarray(g_t, dtype=float)
+    pref = math.exp(2 * math.lgamma(n))  # [(n-1)!]^2
+    total = np.zeros(g_t.shape)
+    for k in range(1, n + 1):
+        # prod_{j != k}(j - k) = (-1)^(k-1) (k-1)! (n-k)!
+        log_den = math.lgamma(k) + math.lgamma(n - k + 1)
+        sign = -1.0 if (k - 1) % 2 else 1.0
+        total = total + sign * (-np.expm1(-k * np.log(g_t))) / k * math.exp(-log_den)
+    return 0.5 * pref * total
+
+
+def per_order_route(weight, params, input, order_k, t):
+    """Order-k truncations for k = 1..order_k, one table per order."""
+    t = np.asarray(t, dtype=float)
+    rows = []
+    for k in range(1, order_k + 1):
+        table = build_table(params, k)
+        moments = initial_inverse_moments(input, k)
+        total = np.zeros(t.shape)
+        for n in range(1, k + 1):
+            total = total + weight(table, n, t) * moments[n - 1]
+        rows.append(total)
+    return np.array(rows)
 
 
 def random_params(rng):
@@ -285,25 +319,41 @@ class TestMeanInverse:
     def test_first_order(self):
         p, inp = AmplifierParams(1.5, 0.5), CoherentInput(4.0)
         t = 1.3
-        got = mean_inverse(build_table(p, 1), initial_inverse_moments(inp, 1), t)
-        assert got == pytest.approx(0.25 / gain(p, t), rel=1e-13)
+        got = mean_inverse(p, inp, 1, t)
+        assert got.shape == (1,)
+        assert got[-1] == pytest.approx(0.25 / gain(p, t), rel=1e-13)
 
     def test_second_order_formula(self):
         p, inp = AmplifierParams(1.5, 0.5), CoherentInput(4.0)
         t = 0.8
         g = gain(p, t)
         expected = 0.25 / g + p.noise_ratio * (1 / g) * (1 - 1 / g) * 0.25**2
-        got = mean_inverse(build_table(p, 2), initial_inverse_moments(inp, 2), t)
-        assert got == pytest.approx(expected, rel=1e-13)
+        got = mean_inverse(p, inp, 2, t)
+        assert got[-1] == pytest.approx(expected, rel=1e-13)
+        assert got[0] == pytest.approx(0.25 / g, rel=1e-13)
 
     def test_initial_value(self):
         p, inp = IDEAL_1, CoherentInput(2.25)
-        got = mean_inverse(build_table(p, 4), initial_inverse_moments(inp, 4), 0.0)
-        assert got == pytest.approx(1 / 2.25, abs=1e-12)
+        got = mean_inverse(p, inp, 4, 0.0)
+        assert got[-1] == pytest.approx(1 / 2.25, abs=1e-12)
 
-    def test_requires_enough_moments(self):
-        with pytest.raises(ValueError):
-            mean_inverse(build_table(IDEAL_1, 3), [0.5, 0.25], 1.0)
+
+class TestOneTableServesEveryOrder:
+    # the order-k sum is a prefix of the order-K sum, so each row must equal
+    # the one-table-per-order evaluation bit for bit
+    def test_rows_equal_the_per_order_route(self):
+        rng = np.random.default_rng(41)
+        t = np.concatenate([[0.0], rng.uniform(0.0, 4.0, 25)])
+        for _ in range(10):
+            p = random_params(rng)
+            inp = CoherentInput(rng.uniform(1.2, 15.0))
+            for order_k in range(1, 9):
+                got = mean_inverse(p, inp, order_k, t)
+                assert got.shape == (order_k, len(t))
+                assert np.all(got == per_order_route(g_n, p, inp, order_k, t))
+                got = phase_variance_expansion(p, inp, order_k, t)
+                assert got.shape == (order_k, len(t))
+                assert np.all(got == per_order_route(chi_n, p, inp, order_k, t))
 
 
 class TestChi:
@@ -361,11 +411,11 @@ class TestChi:
 class TestPhaseVariance:
     def test_starts_at_initial_variance(self):
         v0 = phase_variance_expansion(IDEAL_1, CoherentInput(2.25), 4, 0.0)
-        assert v0 == pytest.approx(0.0, abs=1e-14)
+        assert v0 == pytest.approx(np.zeros(4), abs=1e-14)
 
     def test_monotone_and_saturating(self):
         t = np.linspace(0.0, 14.0, 700)
-        v = phase_variance_expansion(IDEAL_1, CoherentInput(2.25), 4, t)
+        v = phase_variance_expansion(IDEAL_1, CoherentInput(2.25), 4, t)[-1]
         assert np.all(np.diff(v) >= -1e-14)
         assert v[-1] - v[-50] < 1e-5
 
@@ -374,15 +424,12 @@ class TestPhaseVariance:
         for n0 in (2.25, 13.0):
             inp = CoherentInput(n0)
             sn = small_noise_phase_variance(IDEAL_1, inp, t)
+            orders = phase_variance_expansion(IDEAL_1, inp, 4, t)
             for k in (1, 2, 4):
-                vk = phase_variance_expansion(IDEAL_1, inp, k, t)
-                assert np.all(vk >= sn - 1e-12)
+                assert np.all(orders[k - 1] >= sn - 1e-12)
 
     def test_stationary_value_increases_with_order(self):
-        values = [
-            float(phase_variance_expansion(IDEAL_1, CoherentInput(2.25), k, 30.0))
-            for k in (1, 2, 3, 4)
-        ]
+        values = phase_variance_expansion(IDEAL_1, CoherentInput(2.25), 4, 30.0)
         assert np.all(np.diff(values) > 0.0)
 
 
@@ -413,12 +460,21 @@ class TestMomentHierarchy:
 
 class TestTruncationDiagnostic:
     def test_first_order_has_nothing_to_compare(self):
-        d = truncation_diagnostic(IDEAL_1, CoherentInput(2.25), 1, 5.0)
+        d = truncation_diagnostic(phase_variance_expansion(IDEAL_1, CoherentInput(2.25), 1, 5.0))
+        assert d.order_k == 1
         assert not d.flagged and np.isnan(d.last_term_share)
 
     def test_flags_runaway_order(self):
         t = np.linspace(0.5, 8.0, 40)
-        ok = truncation_diagnostic(IDEAL_1, CoherentInput(13.0), 4, t)
-        assert not ok.flagged
-        runaway = truncation_diagnostic(IDEAL_1, CoherentInput(1.5), 9, t)
-        assert runaway.flagged
+        ok = truncation_diagnostic(phase_variance_expansion(IDEAL_1, CoherentInput(13.0), 4, t))
+        assert ok.order_k == 4 and not ok.flagged
+        runaway = truncation_diagnostic(
+            phase_variance_expansion(IDEAL_1, CoherentInput(1.5), 9, t))
+        assert runaway.order_k == 9 and runaway.flagged
+
+    def test_share_is_the_last_term_over_the_order_k_value(self):
+        orders = np.array([[1.0, 2.0, 0.0], [1.5, 2.1, 0.0]])
+        d = truncation_diagnostic(orders)
+        assert d.order_k == 2
+        assert d.last_term_share == pytest.approx(0.5 / 1.5, rel=1e-15)
+        assert d.flagged

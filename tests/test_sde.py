@@ -9,12 +9,10 @@ from phasediff import (
     GuardTripError,
     SdeConfig,
     TrajectoryEnsemble,
-    build_table,
     ensemble_stats,
-    initial_inverse_moments,
     mean_inverse,
     mean_photon,
-    second_moment_photon,
+    photon_variance,
     simulate_inverse,
     simulate_polar,
     small_noise_phase_variance,
@@ -83,7 +81,7 @@ class TestPolar:
         assert z1.max() < 3.0
         m2_mc = (ens.n_paths[keep] ** 2).mean(axis=0)
         m2_se = (ens.n_paths[keep] ** 2).std(axis=0, ddof=1) / np.sqrt(keep.sum())
-        m2 = second_moment_photon(IDEAL_2, 3.0, 9.0, ens.times)
+        m2 = photon_variance(IDEAL_2, CoherentInput(3.0), ens.times) + mean**2
         assert (np.abs(m2_mc - m2)[1:] / m2_se[1:]).max() < 3.0
 
     def test_phase_mean_constant(self):
@@ -151,9 +149,7 @@ class TestInverseProcess:
         cfg = SdeConfig(dt=5e-4, t_max=2.0, n_traj=500, master_seed=5, record_every=200)
         ens = simulate_inverse(IDEAL_2, CoherentInput(3.0), cfg)
         stats = ensemble_stats(ens)["upsilon"]
-        k3 = mean_inverse(
-            build_table(IDEAL_2, 3), initial_inverse_moments(CoherentInput(3.0), 3), ens.times
-        )
+        k3 = mean_inverse(IDEAL_2, CoherentInput(3.0), 3, ens.times)[-1]
         z = np.abs(stats.mean - k3)[1:] / stats.se_mean[1:]
         assert z.max() < 3.0
 
@@ -263,6 +259,8 @@ class TestConfigValidation:
             SdeConfig(dt=0.0, t_max=1.0, n_traj=1, master_seed=0)
         with pytest.raises(ValueError):
             SdeConfig(dt=0.1, t_max=0.05, n_traj=1, master_seed=0)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            SdeConfig(dt=0.1, t_max=2.05, n_traj=1, master_seed=0)
         with pytest.raises(ValueError):
             SdeConfig(dt=0.1, t_max=1.0, n_traj=0, master_seed=0)
         with pytest.raises(ValueError):

@@ -47,7 +47,7 @@ _SDE = {
     "floor_epsilon": 1e-6,
     "max_guard_trips": 0,
     "record_every": 10,
-    "chunk_size": 512,
+    "chunk_size": 4096,
     "noise_thinning": 1,
 }
 _FOCK = {"cutoff_s": None, "tail_bound": 1e-10}

@@ -171,13 +171,13 @@ class TruncationDiagnostic:
 
 
 def truncation_diagnostic(orders) -> TruncationDiagnostic:
-    """Share of the phase variance carried by the last retained order.
+    """Share of the order-K value carried by the last retained order.
 
-    orders is the (K, ...) array of phase_variance_expansion; its last two
-    rows are the order-K and order-(K-1) values.  There is no a-priori rule
-    for where the asymptotic series turns; as a heuristic the last term
-    contributing more than 20% of the order-K value anywhere on the grid is
-    flagged.  K = 1 has nothing to compare against.
+    orders is the (K, ...) array of phase_variance_expansion or mean_inverse;
+    its last two rows are the order-K and order-(K-1) values.  There is no
+    a-priori rule for where the asymptotic series turns; as a heuristic the
+    last term contributing more than 20% of the order-K value anywhere on the
+    grid is flagged.  K = 1 has nothing to compare against.
     """
     orders = np.asarray(orders, dtype=float)
     order_k = len(orders)

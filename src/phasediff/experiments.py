@@ -48,21 +48,22 @@ class ResultBundle:
     written: list[str] = field(default_factory=list)
 
 
-def _fmt(x: float) -> str:
-    if not np.isfinite(x):
-        raise GuardTripError(f"non-finite value {x!r} reached the CSV writer")
-    return format(float(x), ".17g")
-
-
 def _csv_body(header: list[str], columns: list[np.ndarray]) -> str:
     if len(header) != len(columns):
         raise ValueError("header/column count mismatch")
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("ragged columns")
+    table = np.column_stack(columns)
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        i, j = bad[0]
+        raise GuardTripError(
+            f"non-finite value {float(table[i, j])!r} in column {header[j]!r}, row {i}, "
+            "reached the CSV writer")
+    row = ",".join(["%.17g"] * len(columns))
     lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(_fmt(c[i]) for c in columns))
+    lines.extend(row % tuple(r) for r in table.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -76,6 +77,12 @@ def _check_aborts(ensemble, metadata):
             f"{n_aborted}/{ensemble.n_traj} trajectories tripped the positivity "
             "guard; the model is outside its validity for this configuration"
         )
+
+
+def _truncation_record(orders) -> dict:
+    diag = truncation_diagnostic(orders)
+    return {"order_k": diag.order_k, "last_term_share": diag.last_term_share,
+            "flagged": diag.flagged}
 
 
 def _run_number_fan(cfg: ExperimentConfig):
@@ -104,12 +111,7 @@ def _run_variance_compare(cfg: ExperimentConfig):
     k = cfg.resolved["expansion_order"]
     orders = phase_variance_expansion(cfg.params, cfg.input, k, t)
     v_sn = small_noise_phase_variance(cfg.params, cfg.input, t)
-    diag = truncation_diagnostic(orders)
-    meta_extra["truncation_diagnostic"] = {
-        "order_k": diag.order_k,
-        "last_term_share": diag.last_term_share,
-        "flagged": diag.flagged,
-    }
+    meta_extra["truncation_diagnostic"] = _truncation_record(orders)
     header = ["t", "sample_variance", "sample_variance_se",
               f"expansion_k{k}", "expansion_k1", "small_noise"]
     cols = [t, stats.variance, stats.se_variance, orders[-1], orders[0], v_sn]
@@ -160,6 +162,7 @@ def _run_inverse_expansion(cfg: ExperimentConfig):
     header = ["t", "mc_mean", "mc_se"]
     cols = [t, stats.mean, stats.se_mean]
     orders = mean_inverse(cfg.params, cfg.input, cfg.resolved["expansion_order"], t)
+    meta_extra["truncation_diagnostic"] = _truncation_record(orders)
     for k, row in enumerate(orders, start=1):
         header.append(f"expansion_k{k}")
         cols.append(row)

@@ -1,19 +1,34 @@
 """Euler-Maruyama ensembles for the photon number/phase pair and for 1/N.
 
 Reproducibility contract: trajectory i draws its noise from
-numpy.random.default_rng(SeedSequence([master_seed, i])) (PCG64), always as a
-(n_steps * noise_thinning, 2) standard-normal block, so a rerun with the same
-SdeConfig is bit-identical no matter how trajectories are chunked for
-execution, and both simulators see the same Brownian increments trajectory by
-trajectory.  Statistics are reduced over the trajectory axis in index order.
+numpy.random.default_rng(SeedSequence([master_seed, i])) (PCG64) as one
+stream of standard normals, two per sub-step (number noise, then phase
+noise), so a rerun with the same SdeConfig is bit-identical however the
+trajectories are batched, and both simulators see the same Brownian
+increments trajectory by trajectory.  Statistics are reduced over the
+trajectory axis in index order.
+
+Engine: up to chunk_size trajectories are stepped together as one wide array,
+through time blocks of _BLOCK_STEPS steps.  Each block's increments are laid
+out time-major, (steps, 2, trajectories), so a step reads contiguous rows.
+While the calling thread steps block b, _DRAW_WORKERS threads (one per usable
+CPU) draw block b+1, each from its own disjoint range of trajectories.  A
+PCG64 stream read in blocks equals the stream read in one call, and the
+steppers evaluate each trajectory's update with the same floating-point
+operations whatever the batch width, so neither the batching nor the block
+length nor the worker count changes a sampled value.  Progress goes to the
+"phasediff.sde" logger: one DEBUG record per finished time block.
 
 The schemes are plain Euler-Maruyama (the equations are Ito equations; the
 weak order-1 accuracy is all the moment comparisons need — swapping in a
-higher-order scheme would only touch the two _step routines).
+higher-order scheme would only touch the two _stepper routines).
 """
 
 from __future__ import annotations
 
+import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,11 +58,14 @@ class SdeConfig:
     path is an integrator overshoot into the region where 1/N moments diverge,
     and keeping it silently would bias every statistic built on the ensemble.
 
-    chunk_size only bounds memory and record_every only thins the stored grid;
-    neither changes any sampled value.  noise_thinning draws each increment as
-    a sum of that many sub-draws, so a run at (dt, thinning 2) shares its
-    Brownian path with a run at (dt/2, thinning 1) — used for step-refinement
-    checks with common random numbers.
+    chunk_size is the number of trajectories stepped together (default 4096,
+    so ensembles up to that size run as one batch); it bounds memory, since
+    the two noise blocks in flight hold 2 x _BLOCK_STEPS x 2 x chunk_size
+    doubles, and changes no sampled value.  record_every only thins the stored
+    grid.  noise_thinning draws each increment as a sum of that many
+    sub-draws, so a run at (dt, thinning 2) shares its Brownian path with a
+    run at (dt/2, thinning 1) — used for step-refinement checks with common
+    random numbers.
     """
 
     dt: float
@@ -57,7 +75,7 @@ class SdeConfig:
     floor_epsilon: float = 1e-6
     max_guard_trips: int = 0
     record_every: int = 1
-    chunk_size: int = 512
+    chunk_size: int = 4096
     noise_thinning: int = 1
 
     def __post_init__(self):
@@ -125,44 +143,93 @@ class TrajectoryEnsemble:
         return out
 
 
-def _draw_increments(config: SdeConfig, indices: np.ndarray) -> np.ndarray:
-    """Wiener increments over dt, shape (len(indices), n_steps, 2)."""
-    thin = config.noise_thinning
-    n_steps = config.n_steps
-    out = np.empty((len(indices), n_steps, 2))
-    for j, idx in enumerate(indices):
-        rng = np.random.default_rng(np.random.SeedSequence([int(config.master_seed), int(idx)]))
-        xi = rng.standard_normal((n_steps * thin, 2))
-        if thin == 1:
-            out[j] = xi
-        else:
-            out[j] = xi.reshape(n_steps, thin, 2).sum(axis=1)
-    out *= np.sqrt(config.dt / thin)
-    return out
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
-def _run_chunked(params, input, config, stepper, n_vars):
+# Two noise blocks are in flight, 2 x 750 x 2 x chunk_size doubles: 98 MB at
+# the default chunk_size.
+_BLOCK_STEPS = 750              # time steps per noise block
+_TILE = 32                      # trajectories per transpose tile (384 kB)
+_DRAW_WORKERS = _usable_cpus()  # threads drawing the next block
+
+_log = logging.getLogger("phasediff.sde")
+
+
+def _noise_blocks(config: SdeConfig, start: int, stop: int, pool: ThreadPoolExecutor):
+    """Wiener increments of trajectories start..stop-1, one time block at a time.
+
+    Yields (b, 2, width) arrays, time-major, b <= _BLOCK_STEPS; a yielded
+    block is valid until the next one is requested, because two buffers take
+    turns.  While the caller steps block i, the pool's workers draw block i+1,
+    each into its own disjoint range of trajectories.
+    """
+    width = stop - start
+    n_steps, thin = config.n_steps, config.noise_thinning
+    scale = np.sqrt(config.dt / thin)
+    seed = int(config.master_seed)
+    spans = [(k0, min(k0 + _BLOCK_STEPS, n_steps)) for k0 in range(0, n_steps, _BLOCK_STEPS)]
+    buffers = [np.empty((spans[0][1], 2, width)) for _ in spans[:2]]
+    workers = min(_DRAW_WORKERS, width)
+    edges = [width * w // workers for w in range(workers + 1)]
+    rngs = [None] * width
+
+    def draw(out, lo, hi):
+        b = out.shape[0]
+        for t0 in range(lo, hi, _TILE):
+            t1 = min(t0 + _TILE, hi)
+            tile = np.empty((t1 - t0, b, 2))
+            for j in range(t0, t1):
+                if rngs[j] is None:
+                    rngs[j] = np.random.default_rng(np.random.SeedSequence([seed, start + j]))
+                if thin == 1:
+                    rngs[j].standard_normal(out=tile[j - t0])
+                else:
+                    xi = rngs[j].standard_normal((b * thin, 2))
+                    np.sum(xi.reshape(b, thin, 2), axis=1, out=tile[j - t0])
+            np.multiply(tile.transpose(1, 2, 0), scale, out=out[:, :, t0:t1])
+
+    def submit(i):
+        k0, k1 = spans[i]
+        out = buffers[i % 2][: k1 - k0]
+        return out, [pool.submit(draw, out, lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+    ahead = submit(0)
+    for i, (_, k1) in enumerate(spans):
+        dw, pending = ahead
+        for future in pending:
+            future.result()
+        if i + 1 < len(spans):
+            ahead = submit(i + 1)
+        yield dw
+        _log.debug("trajectories %d-%d: %d/%d steps", start, stop - 1, k1, n_steps)
+
+
+def _integrate(params, input, config, stepper, n_vars):
     ks = config.recorded_steps()
     rec_mask = np.zeros(config.n_steps + 1, dtype=bool)
     rec_mask[ks] = True
     n = config.n_traj
     paths = [np.empty((n, len(ks))) for _ in range(n_vars)]
     guard_counts = np.zeros(n, dtype=np.int64)
-    for start in range(0, n, config.chunk_size):
-        stop = min(start + config.chunk_size, n)
-        dw = _draw_increments(config, np.arange(start, stop))
-        block = slice(start, stop)
-        stepper(params, input, config, dw, rec_mask,
-                [p[block] for p in paths], guard_counts[block])
+    with ThreadPoolExecutor(max_workers=_DRAW_WORKERS) as pool:
+        for start in range(0, n, config.chunk_size):
+            stop = min(start + config.chunk_size, n)
+            block = slice(start, stop)
+            stepper(params, input, config, _noise_blocks(config, start, stop, pool), rec_mask,
+                    [p[block] for p in paths], guard_counts[block])
     seeds = np.column_stack([np.full(n, config.master_seed, dtype=np.uint64), np.arange(n, dtype=np.uint64)])
     aborted = guard_counts > config.max_guard_trips
     return paths, guard_counts, aborted, ks * config.dt, seeds
 
 
-def _polar_stepper(params, input, config, dw, rec_mask, chunk_paths, guard_counts):
+def _polar_stepper(params, input, config, blocks, rec_mask, chunk_paths, guard_counts):
     ku, km = params.kappa_up, params.kappa_minus
     dt, floor = config.dt, config.floor_epsilon
-    m = dw.shape[0]
+    m = len(guard_counts)
     n_val = np.full(m, float(input.amplitude_sq))
     phi_val = np.full(m, float(input.theta))
     n_store, phi_store = chunk_paths
@@ -170,43 +237,49 @@ def _polar_stepper(params, input, config, dw, rec_mask, chunk_paths, guard_count
     n_store[:, 0] = n_val
     phi_store[:, 0] = phi_val
     trips = np.zeros(m, dtype=np.int64)
-    for k in range(config.n_steps):
-        phi_val = phi_val + np.sqrt(ku / (2.0 * n_val)) * dw[:, k, 1]
-        n_val = n_val + (ku + km * n_val) * dt + np.sqrt(2.0 * ku * n_val) * dw[:, k, 0]
-        below = n_val < floor
-        if below.any():
-            trips += below
-            n_val = np.maximum(n_val, floor)
-        if rec_mask[k + 1]:
-            rec += 1
-            n_store[:, rec] = n_val
-            phi_store[:, rec] = phi_val
+    k = 0
+    for dw in blocks:
+        for dw_k in dw:
+            phi_val = phi_val + np.sqrt(ku / (2.0 * n_val)) * dw_k[1]
+            n_val = n_val + (ku + km * n_val) * dt + np.sqrt(2.0 * ku * n_val) * dw_k[0]
+            below = n_val < floor
+            if below.any():
+                trips += below
+                n_val = np.maximum(n_val, floor)
+            k += 1
+            if rec_mask[k]:
+                rec += 1
+                n_store[:, rec] = n_val
+                phi_store[:, rec] = phi_val
     guard_counts += trips
 
 
-def _inverse_stepper(params, input, config, dw, rec_mask, chunk_paths, guard_counts):
+def _inverse_stepper(params, input, config, blocks, rec_mask, chunk_paths, guard_counts):
     ku, km = params.kappa_up, params.kappa_minus
     dt, floor = config.dt, config.floor_epsilon
     ceil = 1.0 / floor
-    m = dw.shape[0]
+    m = len(guard_counts)
     u_val = np.full(m, 1.0 / float(input.amplitude_sq))
     (u_store,) = chunk_paths
     rec = 0
     u_store[:, 0] = u_val
     trips = np.zeros(m, dtype=np.int64)
-    for k in range(config.n_steps):
-        u_val = (
-            u_val
-            - (km * u_val - ku * u_val**2) * dt
-            - np.sqrt(2.0 * ku * u_val**3) * dw[:, k, 0]
-        )
-        outside = (u_val < floor) | (u_val > ceil)
-        if outside.any():
-            trips += outside
-            u_val = np.clip(u_val, floor, ceil)
-        if rec_mask[k + 1]:
-            rec += 1
-            u_store[:, rec] = u_val
+    k = 0
+    for dw in blocks:
+        for dw_k in dw:
+            u_val = (
+                u_val
+                - (km * u_val - ku * u_val**2) * dt
+                - np.sqrt(2.0 * ku * u_val**3) * dw_k[0]
+            )
+            outside = (u_val < floor) | (u_val > ceil)
+            if outside.any():
+                trips += outside
+                u_val = np.clip(u_val, floor, ceil)
+            k += 1
+            if rec_mask[k]:
+                rec += 1
+                u_store[:, rec] = u_val
     guard_counts += trips
 
 
@@ -217,7 +290,7 @@ def simulate_polar(params: AmplifierParams, input: CoherentInput, config: SdeCon
     dN = (kappa_up + kappa_minus N) dt + sqrt(2 kappa_up N) dV_N
     with independent increments, both evaluated at the step's start (Ito).
     """
-    paths, guard_counts, aborted, times, seeds = _run_chunked(
+    paths, guard_counts, aborted, times, seeds = _integrate(
         params, input, config, _polar_stepper, n_vars=2
     )
     return TrajectoryEnsemble(
@@ -238,7 +311,7 @@ def simulate_inverse(params: AmplifierParams, input: CoherentInput, config: SdeC
         raise ValueError(
             f"amplitude_sq must exceed 1 for the reciprocal process, got {input.amplitude_sq}"
         )
-    paths, guard_counts, aborted, times, seeds = _run_chunked(
+    paths, guard_counts, aborted, times, seeds = _integrate(
         params, input, config, _inverse_stepper, n_vars=1
     )
     return TrajectoryEnsemble(

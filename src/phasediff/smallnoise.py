@@ -19,13 +19,12 @@ __all__ = ["small_noise_phase_variance"]
 def small_noise_phase_variance(params: AmplifierParams, input: CoherentInput, t):
     """Closed-form V[Phi(t)] with E[1/N] replaced by 1/E[N].
 
-    V(t) = (1/2) ln[(n0 + r)/n0] + (1/2) ln[1 - r/((n0 + r) G_t)],
-    r = kappa_up/kappa_minus, starting from V(0) = 0 for the coherent
-    phase-space point.  Both logs are evaluated as log1p so the large-G tail
-    (argument -> 1) keeps full precision.
+    V(t) = (1/2) ln[1 + r (1 - 1/G_t) / n0],  r = kappa_up/kappa_minus,
+    starting from V(0) = 0 for the coherent phase-space point.  Evaluated as
+    log1p(-r expm1(-x) / n0) with x = ln G_t, so t = 0 gives exactly 0 and the
+    large-G tail keeps full precision.
     """
     n0 = input.amplitude_sq
     r = params.noise_ratio
     x = _log_gain(params, t)
-    return 0.5 * np.log1p(r / n0) + 0.5 * np.log1p(-r / ((n0 + r) * np.exp(x)))
-
+    return 0.5 * np.log1p(-r * np.expm1(-x) / n0)

@@ -88,6 +88,18 @@ def test_missing_config_exits_2(tmp_path, capsys, command):
     assert json.loads(err)["details"][0]["field"] == "--config"
 
 
+@pytest.mark.parametrize("order, flagged", [(3, False), (20, True)])
+def test_inverse_expansion_records_truncation_share(tmp_path, capsys, order, flagged):
+    # E[1/N] orders past the series' turning point run away (order 20 gives
+    # 5e5 at t = 2 against a Monte Carlo 0.01); the sidecar must say so
+    code, out, _ = run(capsys, "inverse-expansion", "--seed", "1", "--k-order", str(order),
+                       "--out", str(tmp_path))
+    assert code == 0
+    diag = json.loads(Path(out.split()[-1]).read_text())["truncation_diagnostic"]
+    assert diag["order_k"] == order
+    assert diag["flagged"] is flagged
+
+
 def test_guard_trip_exits_3(tmp_path, capsys):
     config = write(tmp_path, "cfg.json", '{"cutoff_s": 8, "times": [4.0]}')
     code, _, err = run(capsys, "dist-converge", "--config", config, "--seed", "1",

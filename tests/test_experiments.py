@@ -1,12 +1,13 @@
-"""Experiment runners: the abort-fraction guard, the CSV writer's refusal of
-non-finite values, and every registered experiment at its default config."""
+"""Experiment runners: the abort-fraction guard, the CSV writer (its refusal of
+non-finite values, its bytes against a per-cell writer), and every registered
+experiment at its default config."""
 
 import numpy as np
 import pytest
 
 from phasediff import GuardTripError, TrajectoryEnsemble, list_experiments, run_experiment
 from phasediff import validate_config
-from phasediff.experiments import _check_aborts, _fmt
+from phasediff.experiments import _check_aborts, _csv_body
 
 
 def ensemble(aborted, guard_counts):
@@ -40,10 +41,33 @@ class TestAbortGuard:
             _check_aborts(ensemble(aborted, aborted.astype(int)), {})
 
 
+def csv_body_by_cell(header, columns):
+    """Per-cell writer: one format call per value."""
+    lines = [",".join(header)]
+    for i in range(len(columns[0])):
+        lines.append(",".join(format(float(c[i]), ".17g") for c in columns))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_csv_writer_refuses_non_finite(value):
-    with pytest.raises(GuardTripError, match="non-finite"):
-        _fmt(value)
+    for j in range(3):
+        columns = [np.linspace(0.0, 1.0, 4) for _ in range(3)]
+        columns[j][2] = value
+        with pytest.raises(GuardTripError, match=f"non-finite value {value!r} in column 'c{j}'"):
+            _csv_body(["c0", "c1", "c2"], columns)
+
+
+def test_csv_writer_matches_per_cell_formatting():
+    rng = np.random.default_rng(5)
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0, 1e16,
+                        2.0**53, 2.0**53 + 2, 0.1, 1 / 3, np.pi, 2.2250738585072014e-308])
+    columns = [special, rng.standard_normal(len(special)) * 10.0 ** rng.integers(-20, 20, len(special)),
+               np.arange(len(special), dtype=float), special[::-1].copy()]
+    header = ["a", "b", "c", "d"]
+    body = _csv_body(header, columns)
+    assert body == csv_body_by_cell(header, columns)
+    assert body.splitlines()[1].split(",")[0] == "-0"
 
 
 @pytest.mark.parametrize("experiment", sorted(list_experiments()))

@@ -1,8 +1,12 @@
 """Trajectory engine: reproducibility, guards, statistics, convergence."""
 
+import logging
+import threading
+
 import numpy as np
 import pytest
 
+from phasediff import sde
 from phasediff import (
     AmplifierParams,
     CoherentInput,
@@ -26,6 +30,168 @@ def small_cfg(**kw):
     base = dict(dt=1e-3, t_max=0.5, n_traj=64, master_seed=42, record_every=50)
     base.update(kw)
     return SdeConfig(**base)
+
+
+def oracle_increments(config, indices):
+    """Each trajectory's whole stream in one draw, shape (len(indices), n_steps, 2)."""
+    thin = config.noise_thinning
+    n_steps = config.n_steps
+    out = np.empty((len(indices), n_steps, 2))
+    for j, idx in enumerate(indices):
+        rng = np.random.default_rng(np.random.SeedSequence([int(config.master_seed), int(idx)]))
+        xi = rng.standard_normal((n_steps * thin, 2))
+        if thin == 1:
+            out[j] = xi
+        else:
+            out[j] = xi.reshape(n_steps, thin, 2).sum(axis=1)
+    out *= np.sqrt(config.dt / thin)
+    return out
+
+
+def oracle_polar_stepper(params, input, config, dw, rec_mask, chunk_paths, guard_counts):
+    ku, km = params.kappa_up, params.kappa_minus
+    dt, floor = config.dt, config.floor_epsilon
+    m = dw.shape[0]
+    n_val = np.full(m, float(input.amplitude_sq))
+    phi_val = np.full(m, float(input.theta))
+    n_store, phi_store = chunk_paths
+    rec = 0
+    n_store[:, 0] = n_val
+    phi_store[:, 0] = phi_val
+    trips = np.zeros(m, dtype=np.int64)
+    for k in range(config.n_steps):
+        phi_val = phi_val + np.sqrt(ku / (2.0 * n_val)) * dw[:, k, 1]
+        n_val = n_val + (ku + km * n_val) * dt + np.sqrt(2.0 * ku * n_val) * dw[:, k, 0]
+        below = n_val < floor
+        if below.any():
+            trips += below
+            n_val = np.maximum(n_val, floor)
+        if rec_mask[k + 1]:
+            rec += 1
+            n_store[:, rec] = n_val
+            phi_store[:, rec] = phi_val
+    guard_counts += trips
+
+
+def oracle_inverse_stepper(params, input, config, dw, rec_mask, chunk_paths, guard_counts):
+    ku, km = params.kappa_up, params.kappa_minus
+    dt, floor = config.dt, config.floor_epsilon
+    ceil = 1.0 / floor
+    m = dw.shape[0]
+    u_val = np.full(m, 1.0 / float(input.amplitude_sq))
+    (u_store,) = chunk_paths
+    rec = 0
+    u_store[:, 0] = u_val
+    trips = np.zeros(m, dtype=np.int64)
+    for k in range(config.n_steps):
+        u_val = (
+            u_val
+            - (km * u_val - ku * u_val**2) * dt
+            - np.sqrt(2.0 * ku * u_val**3) * dw[:, k, 0]
+        )
+        outside = (u_val < floor) | (u_val > ceil)
+        if outside.any():
+            trips += outside
+            u_val = np.clip(u_val, floor, ceil)
+        if rec_mask[k + 1]:
+            rec += 1
+            u_store[:, rec] = u_val
+    guard_counts += trips
+
+
+def oracle_simulate(params, input, config, stepper, n_vars):
+    """Whole-stream noise and strided stepping in chunks of 512 trajectories."""
+    ks = config.recorded_steps()
+    rec_mask = np.zeros(config.n_steps + 1, dtype=bool)
+    rec_mask[ks] = True
+    n = config.n_traj
+    paths = [np.empty((n, len(ks))) for _ in range(n_vars)]
+    guard_counts = np.zeros(n, dtype=np.int64)
+    for start in range(0, n, 512):
+        block = slice(start, min(start + 512, n))
+        dw = oracle_increments(config, np.arange(start, block.stop))
+        stepper(params, input, config, dw, rec_mask,
+                [p[block] for p in paths], guard_counts[block])
+    return paths, guard_counts
+
+
+# (simulator, oracle stepper, path fields, input, floor): both floors are
+# touched by several trajectories, so guard counts and aborts are compared too
+ENGINES = {
+    "polar": (simulate_polar, oracle_polar_stepper, ("n_paths", "phi_paths"),
+              CoherentInput(1.2, 0.4), 1.0),
+    "inverse": (simulate_inverse, oracle_inverse_stepper, ("upsilon_paths",),
+                CoherentInput(1.2), 0.4),
+}
+
+
+class TestEngineMatchesOracle:
+    """Time blocks, batch width and draw workers change no bit of any output."""
+
+    @staticmethod
+    def config(**kw):
+        # 23 steps, recorded every 4th step plus the last
+        base = dict(dt=0.01, t_max=0.23, n_traj=12, master_seed=2024, record_every=4,
+                    max_guard_trips=1)
+        base.update(kw)
+        return SdeConfig(**base)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("thinning", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("block", [1, 5, 26])
+    @pytest.mark.parametrize("chunk_size", [1, 7, None])
+    def test_bit_identical(self, monkeypatch, engine, thinning, workers, block, chunk_size):
+        simulate, stepper, fields, inp, floor = ENGINES[engine]
+        monkeypatch.setattr(sde, "_DRAW_WORKERS", workers)
+        monkeypatch.setattr(sde, "_BLOCK_STEPS", block)
+        kw = {} if chunk_size is None else {"chunk_size": chunk_size}
+        cfg = self.config(noise_thinning=thinning, floor_epsilon=floor, **kw)
+        assert block in (1, 5, cfg.n_steps + 3)
+        ens = simulate(IDEAL_2, inp, cfg)
+        paths, guard_counts = oracle_simulate(IDEAL_2, inp, cfg, stepper, len(fields))
+        for name, want in zip(fields, paths):
+            assert np.array_equal(getattr(ens, name), want), name
+        assert np.array_equal(ens.guard_counts, guard_counts)
+        assert np.array_equal(ens.aborted, guard_counts > cfg.max_guard_trips)
+        assert ens.aborted.any() and not ens.aborted.all()
+        assert np.array_equal(ens.times, cfg.recorded_steps() * cfg.dt)
+
+    def test_threads_joined_on_return(self, monkeypatch):
+        monkeypatch.setattr(sde, "_DRAW_WORKERS", 3)
+        monkeypatch.setattr(sde, "_BLOCK_STEPS", 5)
+        baseline = threading.active_count()
+        simulate_polar(IDEAL_2, CoherentInput(3.0), self.config())
+        assert threading.active_count() == baseline
+
+    def test_stepper_error_propagates_and_threads_are_joined(self, monkeypatch):
+        monkeypatch.setattr(sde, "_DRAW_WORKERS", 3)
+        monkeypatch.setattr(sde, "_BLOCK_STEPS", 5)
+        real_stepper = sde._polar_stepper
+
+        def failing_stepper(params, input, config, blocks, *rest):
+            def fail_on_third(blocks):
+                for i, dw in enumerate(blocks):
+                    if i == 2:
+                        raise RuntimeError("stepper failed")
+                    yield dw
+            real_stepper(params, input, config, fail_on_third(blocks), *rest)
+
+        monkeypatch.setattr(sde, "_polar_stepper", failing_stepper)
+        baseline = threading.active_count()
+        with pytest.raises(RuntimeError, match="stepper failed"):
+            simulate_polar(IDEAL_2, CoherentInput(3.0), self.config())
+        assert threading.active_count() == baseline
+
+    def test_progress_logged_per_block(self, monkeypatch, caplog):
+        monkeypatch.setattr(sde, "_BLOCK_STEPS", 10)
+        cfg = self.config(n_traj=5, chunk_size=3)
+        with caplog.at_level(logging.DEBUG, logger="phasediff.sde"):
+            simulate_polar(IDEAL_2, CoherentInput(3.0), cfg)
+        assert [r.getMessage() for r in caplog.records if r.name == "phasediff.sde"] == [
+            f"trajectories {batch}: {k}/23 steps"
+            for batch in ("0-2", "3-4") for k in (10, 20, 23)
+        ]
 
 
 class TestReproducibility:

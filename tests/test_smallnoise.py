@@ -33,7 +33,9 @@ PARAM_GRID = [
 def test_initial_value_is_initial_variance():
     # a coherent phase-space point starts with no phase spread
     inp = CoherentInput(5.0)
-    assert small_noise_phase_variance(IDEAL_1, inp, 0.0) == pytest.approx(0.0, abs=1e-16)
+    for p in (IDEAL_1, AmplifierParams(0.7, 0.3)):
+        v = small_noise_phase_variance(p, inp, np.zeros(3))
+        assert np.all(v == 0.0) and not np.signbit(v).any()
 
 
 def test_stationary_increment_n0_13():

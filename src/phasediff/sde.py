@@ -12,12 +12,16 @@ Engine: up to chunk_size trajectories are stepped together as one wide array,
 through time blocks of _BLOCK_STEPS steps.  Each block's increments are laid
 out time-major, (steps, 2, trajectories), so a step reads contiguous rows.
 While the calling thread steps block b, _DRAW_WORKERS threads (one per usable
-CPU) draw block b+1, each from its own disjoint range of trajectories.  A
-PCG64 stream read in blocks equals the stream read in one call, and the
-steppers evaluate each trajectory's update with the same floating-point
-operations whatever the batch width, so neither the batching nor the block
-length nor the worker count changes a sampled value.  Progress goes to the
-"phasediff.sde" logger: one DEBUG record per finished time block.
+CPU, at most three) draw block b+1, each from its own disjoint range of
+trajectories.  A PCG64 stream read in blocks equals the stream read in one
+call, and the steppers evaluate each trajectory's update with the same
+floating-point operations whatever the batch width, so neither the batching
+nor the block length nor the worker count changes a sampled value.  The
+recorded paths, the noise blocks and the workers' tiles each get an anonymous
+memory mapping of their own (_mapped), allocated by the calling thread, so
+the memory a run holds does not depend on the malloc heap's history or on
+thread timing.  Progress goes to the "phasediff.sde" logger: one DEBUG record
+per finished time block.
 
 The schemes are plain Euler-Maruyama (the equations are Ito equations; the
 weak order-1 accuracy is all the moment comparisons need — swapping in a
@@ -27,6 +31,8 @@ higher-order scheme would only touch the two _stepper routines).
 from __future__ import annotations
 
 import logging
+import math
+import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -150,13 +156,31 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Two noise blocks are in flight, 2 x 750 x 2 x chunk_size doubles: 98 MB at
-# the default chunk_size.
-_BLOCK_STEPS = 750              # time steps per noise block
-_TILE = 32                      # trajectories per transpose tile (384 kB)
-_DRAW_WORKERS = _usable_cpus()  # threads drawing the next block
+# Two noise blocks are in flight, 2 x 375 x 2 x chunk_size doubles: 49 MB at
+# the default chunk_size.  Longer blocks cut the per-call overhead of the draw
+# but put the engine's buffers, not the statistics, at the peak resident size
+# of a variance-compare run (750 steps: +40 MB).  Drawing a block on one thread
+# costs about three times stepping it, so three workers keep up with the
+# stepping thread; more would add threads, each with its own stack and malloc
+# arena, and no speed.
+_BLOCK_STEPS = 375                   # time steps per noise block
+_TILE = 32                           # trajectories per transpose tile (192 kB)
+_DRAW_WORKERS = min(_usable_cpus(), 3)  # threads drawing the next block
 
 _log = logging.getLogger("phasediff.sde")
+
+
+def _mapped(*shape: int) -> np.ndarray:
+    """A zero-filled float64 array in an anonymous memory mapping of its own.
+
+    The mapping is released when the array's last view goes.  Carved from the
+    malloc heap, a 19 MB path array can leave a hole that later ensembles
+    reuse or not, depending on where small objects land and on whether
+    transparent huge pages are free, which moves the peak resident size of a
+    run by about 20 MB from one run to the next.
+    """
+    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}  # not on Windows
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape), **private)).reshape(shape)
 
 
 def _noise_blocks(config: SdeConfig, start: int, stop: int, pool: ThreadPoolExecutor):
@@ -172,30 +196,36 @@ def _noise_blocks(config: SdeConfig, start: int, stop: int, pool: ThreadPoolExec
     scale = np.sqrt(config.dt / thin)
     seed = int(config.master_seed)
     spans = [(k0, min(k0 + _BLOCK_STEPS, n_steps)) for k0 in range(0, n_steps, _BLOCK_STEPS)]
-    buffers = [np.empty((spans[0][1], 2, width)) for _ in spans[:2]]
     workers = min(_DRAW_WORKERS, width)
     edges = [width * w // workers for w in range(workers + 1)]
     rngs = [None] * width
+    # Every array the workers write is mapped here, in the calling thread.
+    b_max = spans[0][1]
+    buffers = [_mapped(b_max, 2, width) for _ in spans[:2]]
+    tiles = [_mapped(_TILE, b_max, 2) for _ in range(workers)]
+    sub_draws = [_mapped(b_max * thin, 2) if thin > 1 else None for _ in range(workers)]
 
-    def draw(out, lo, hi):
+    def draw(out, lo, hi, tile_buf, xi_buf):
         b = out.shape[0]
         for t0 in range(lo, hi, _TILE):
             t1 = min(t0 + _TILE, hi)
-            tile = np.empty((t1 - t0, b, 2))
+            tile = tile_buf[: t1 - t0, :b]
             for j in range(t0, t1):
                 if rngs[j] is None:
                     rngs[j] = np.random.default_rng(np.random.SeedSequence([seed, start + j]))
                 if thin == 1:
                     rngs[j].standard_normal(out=tile[j - t0])
                 else:
-                    xi = rngs[j].standard_normal((b * thin, 2))
+                    xi = xi_buf[: b * thin]
+                    rngs[j].standard_normal(out=xi)
                     np.sum(xi.reshape(b, thin, 2), axis=1, out=tile[j - t0])
             np.multiply(tile.transpose(1, 2, 0), scale, out=out[:, :, t0:t1])
 
     def submit(i):
         k0, k1 = spans[i]
         out = buffers[i % 2][: k1 - k0]
-        return out, [pool.submit(draw, out, lo, hi) for lo, hi in zip(edges, edges[1:])]
+        return out, [pool.submit(draw, out, lo, hi, tiles[w], sub_draws[w])
+                     for w, (lo, hi) in enumerate(zip(edges, edges[1:]))]
 
     ahead = submit(0)
     for i, (_, k1) in enumerate(spans):
@@ -213,7 +243,7 @@ def _integrate(params, input, config, stepper, n_vars):
     rec_mask = np.zeros(config.n_steps + 1, dtype=bool)
     rec_mask[ks] = True
     n = config.n_traj
-    paths = [np.empty((n, len(ks))) for _ in range(n_vars)]
+    paths = [_mapped(n, len(ks)) for _ in range(n_vars)]
     guard_counts = np.zeros(n, dtype=np.int64)
     with ThreadPoolExecutor(max_workers=_DRAW_WORKERS) as pool:
         for start in range(0, n, config.chunk_size):

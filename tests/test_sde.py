@@ -1,6 +1,7 @@
 """Trajectory engine: reproducibility, guards, statistics, convergence."""
 
 import logging
+import mmap
 import threading
 
 import numpy as np
@@ -182,6 +183,31 @@ class TestEngineMatchesOracle:
         with pytest.raises(RuntimeError, match="stepper failed"):
             simulate_polar(IDEAL_2, CoherentInput(3.0), self.config())
         assert threading.active_count() == baseline
+
+    def test_paths_and_noise_blocks_have_their_own_mappings(self, monkeypatch):
+        def owner(a):
+            while isinstance(a, np.ndarray) and a.base is not None:
+                a = a.base
+            return a.obj if isinstance(a, memoryview) else a
+
+        owners = []
+        real_stepper = sde._polar_stepper
+
+        def spying_stepper(params, input, config, blocks, *rest):
+            def spy(blocks):
+                for dw in blocks:
+                    owners.append(owner(dw))
+                    yield dw
+            real_stepper(params, input, config, spy(blocks), *rest)
+
+        monkeypatch.setattr(sde, "_polar_stepper", spying_stepper)
+        monkeypatch.setattr(sde, "_BLOCK_STEPS", 5)
+        ens = simulate_polar(IDEAL_2, CoherentInput(3.0), self.config())
+        owners += [owner(ens.n_paths), owner(ens.phi_paths)]
+        assert len(owners) == 5 + 2
+        assert all(isinstance(o, mmap.mmap) for o in owners)
+        # two noise buffers taking turns, and one mapping per path array
+        assert len({id(o) for o in owners}) == 4
 
     def test_progress_logged_per_block(self, monkeypatch, caplog):
         monkeypatch.setattr(sde, "_BLOCK_STEPS", 10)

@@ -81,15 +81,16 @@ def _check_aborts(ensemble, metadata):
 
 def _truncation_record(orders) -> dict:
     diag = truncation_diagnostic(orders)
-    return {"order_k": diag.order_k, "last_term_share": diag.last_term_share,
-            "flagged": diag.flagged}
+    # K = 1 has no share (NaN), and JSON has no NaN
+    share = None if diag.order_k == 1 else diag.last_term_share
+    return {"order_k": diag.order_k, "last_term_share": share, "flagged": diag.flagged}
 
 
 def _run_number_fan(cfg: ExperimentConfig):
     ens = simulate_polar(cfg.params, cfg.input, cfg.sde)
     meta_extra: dict = {}
     _check_aborts(ens, meta_extra)
-    stats = ensemble_stats(ens)["n"]
+    stats = ensemble_stats(ens, "n")["n"]
     t = ens.times
     analytic = mean_photon(cfg.params, cfg.input.amplitude_sq, t)
     header = ["t", "sample_mean", "sample_se", "analytic_mean"]
@@ -106,7 +107,7 @@ def _run_variance_compare(cfg: ExperimentConfig):
     ens = simulate_polar(cfg.params, cfg.input, cfg.sde)
     meta_extra: dict = {}
     _check_aborts(ens, meta_extra)
-    stats = ensemble_stats(ens)["phi"]
+    stats = ensemble_stats(ens, "phi", se_variance=True)["phi"]
     t = ens.times
     k = cfg.resolved["expansion_order"]
     orders = phase_variance_expansion(cfg.params, cfg.input, k, t)
@@ -157,7 +158,7 @@ def _run_inverse_expansion(cfg: ExperimentConfig):
     ens = simulate_inverse(cfg.params, cfg.input, cfg.sde)
     meta_extra: dict = {}
     _check_aborts(ens, meta_extra)
-    stats = ensemble_stats(ens)["upsilon"]
+    stats = ensemble_stats(ens, "upsilon")["upsilon"]
     t = ens.times
     header = ["t", "mc_mean", "mc_se"]
     cols = [t, stats.mean, stats.se_mean]
@@ -266,7 +267,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultBundle:
         path.write_text(body)
         written.append(str(path))
     meta_path = cfg.out_dir / f"{cfg.experiment}.meta.json"
-    meta_path.write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
+    meta_path.write_text(json.dumps(metadata, indent=2, sort_keys=True, allow_nan=False) + "\n")
     written.append(str(meta_path))
     return ResultBundle(experiment=cfg.experiment, csv_files=files,
                         metadata=metadata, written=written)

@@ -8,20 +8,29 @@ trajectories are batched, and both simulators see the same Brownian
 increments trajectory by trajectory.  Statistics are reduced over the
 trajectory axis in index order.
 
-Engine: up to chunk_size trajectories are stepped together as one wide array,
-through time blocks of _BLOCK_STEPS steps.  Each block's increments are laid
-out time-major, (steps, 2, trajectories), so a step reads contiguous rows.
-While the calling thread steps block b, _DRAW_WORKERS threads (one per usable
-CPU, at most three) draw block b+1, each from its own disjoint range of
-trajectories.  A PCG64 stream read in blocks equals the stream read in one
-call, and the steppers evaluate each trajectory's update with the same
-floating-point operations whatever the batch width, so neither the batching
-nor the block length nor the worker count changes a sampled value.  The
-recorded paths, the noise blocks and the workers' tiles each get an anonymous
-memory mapping of their own (_mapped), allocated by the calling thread, so
-the memory a run holds does not depend on the malloc heap's history or on
-thread timing.  Progress goes to the "phasediff.sde" logger: one DEBUG record
-per finished time block.
+Engine: the trajectories are split into contiguous ranges, one per worker
+(at most one per usable CPU, each at least _TILE trajectories wide).  A
+worker loops over its range up to chunk_size trajectories at a time, stepped
+together as one wide array through time blocks of _BLOCK_STEPS steps: it
+draws one block's increments, time-major, (steps, 2, trajectories), so a step
+reads contiguous rows, then steps through them.  A PCG64 stream read in
+blocks equals the stream read in one call, and the steppers evaluate each
+trajectory's update with the same floating-point operations whatever the
+batch width, so neither the ranges, nor the batching, nor the block length
+changes a sampled value.
+
+Each worker is a child made by os.fork(): it shares the parent's imported
+modules, so nothing is pickled or imported to start it.  It writes the
+recorded paths and guard counts in place, into anonymous shared memory
+mappings (_mapped) made before the fork, sends progress records and any
+exception on a pipe, and leaves through os._exit.  A child imports nothing,
+logs nothing, calls no BLAS and flushes no stdio, so it never touches a lock
+or buffer that another thread of the parent held at the fork.  With one
+worker (one usable CPU, fewer than two tiles of trajectories, or no os.fork)
+the same loop runs in the calling process.  Every engine array has a mapping
+of its own, so the memory a run holds does not depend on the malloc heap's
+history.  Progress goes to the "phasediff.sde" logger, from the calling
+process: one DEBUG record per stepped time block of each batch.
 
 The schemes are plain Euler-Maruyama (the equations are Ito equations; the
 weak order-1 accuracy is all the moment comparisons need — swapping in a
@@ -30,11 +39,15 @@ higher-order scheme would only touch the two _stepper routines).
 
 from __future__ import annotations
 
+import gc
 import logging
 import math
 import mmap
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import selectors
+import signal
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,14 +77,16 @@ class SdeConfig:
     path is an integrator overshoot into the region where 1/N moments diverge,
     and keeping it silently would bias every statistic built on the ensemble.
 
-    chunk_size is the number of trajectories stepped together (default 4096,
-    so ensembles up to that size run as one batch); it bounds memory, since
-    the two noise blocks in flight hold 2 x _BLOCK_STEPS x 2 x chunk_size
-    doubles, and changes no sampled value.  record_every only thins the stored
-    grid.  noise_thinning draws each increment as a sum of that many
-    sub-draws, so a run at (dt, thinning 2) shares its Brownian path with a
-    run at (dt/2, thinning 1) — used for step-refinement checks with common
-    random numbers.
+    chunk_size is the number of trajectories a worker steps together (default
+    4096, so each worker's range of an ensemble up to that size is one
+    batch); it bounds memory, since each worker holds one noise block of at
+    most _BLOCK_STEPS x 2 x chunk_size doubles, and changes no sampled value.
+    The engine picks its worker count itself (see the module docstring); no
+    field sets it, and no worker count changes a sampled value either.
+    record_every only thins the stored grid.  noise_thinning draws each
+    increment as a sum of that many sub-draws, so a run at (dt, thinning 2)
+    shares its Brownian path with a run at (dt/2, thinning 1) — used for
+    step-refinement checks with common random numbers.
     """
 
     dt: float
@@ -156,63 +171,63 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Two noise blocks are in flight, 2 x 375 x 2 x chunk_size doubles: 49 MB at
-# the default chunk_size.  Longer blocks cut the per-call overhead of the draw
-# but put the engine's buffers, not the statistics, at the peak resident size
-# of a variance-compare run (750 steps: +40 MB).  Drawing a block on one thread
-# costs about three times stepping it, so three workers keep up with the
-# stepping thread; more would add threads, each with its own stack and malloc
-# arena, and no speed.
+# Each worker holds one noise block, 375 x 2 x width doubles: 24 MB across the
+# workers of a 4000-path ensemble.  Longer blocks cut the per-call overhead of
+# the draw, but memory goes with them.
 _BLOCK_STEPS = 375                   # time steps per noise block
-_TILE = 32                           # trajectories per transpose tile (192 kB)
-_DRAW_WORKERS = min(_usable_cpus(), 3)  # threads drawing the next block
+_TILE = 32                           # trajectories per transpose tile (192 kB); the narrowest range
+_WORKERS = _usable_cpus()            # most ranges an ensemble is split into
 
 _log = logging.getLogger("phasediff.sde")
 
+# A child's pipe carries (start, stop, steps) per stepped block of the batch
+# start..stop-1; (-1, size, 0) announces the child's pickled exception, size bytes.
+_RECORD = struct.Struct("=3q")
 
-def _mapped(*shape: int) -> np.ndarray:
-    """A zero-filled float64 array in an anonymous memory mapping of its own.
 
-    The mapping is released when the array's last view goes.  Carved from the
-    malloc heap, a 19 MB path array can leave a hole that later ensembles
-    reuse or not, depending on where small objects land and on whether
-    transparent huge pages are free, which moves the peak resident size of a
-    run by about 20 MB from one run to the next.
+def _mapped(*shape: int, dtype=np.float64) -> np.ndarray:
+    """A zero-filled array in an anonymous shared memory mapping of its own.
+
+    The mapping is released when the array's last view goes.  Shared, a forked
+    worker's writes reach the parent in place.  Carved from the malloc heap, a
+    19 MB path array can leave a hole that later ensembles reuse or not,
+    depending on where small objects land and on whether transparent huge pages
+    are free, which moves the peak resident size of a run by about 20 MB from
+    one run to the next.
     """
-    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}  # not on Windows
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape), **private)).reshape(shape)
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, dtype.itemsize * math.prod(shape)), dtype=dtype).reshape(shape)
 
 
-def _noise_blocks(config: SdeConfig, start: int, stop: int, pool: ThreadPoolExecutor):
+def _progress(start: int, stop: int, k: int, n_steps: int) -> None:
+    _log.debug("trajectories %d-%d: %d/%d steps", start, stop - 1, k, n_steps)
+
+
+def _noise_blocks(config: SdeConfig, start: int, stop: int, report):
     """Wiener increments of trajectories start..stop-1, one time block at a time.
 
-    Yields (b, 2, width) arrays, time-major, b <= _BLOCK_STEPS; a yielded
-    block is valid until the next one is requested, because two buffers take
-    turns.  While the caller steps block i, the pool's workers draw block i+1,
-    each into its own disjoint range of trajectories.
+    Yields (b, 2, width) arrays, time-major, b <= _BLOCK_STEPS, all views of
+    one buffer: a block is valid until the next one is requested.  Once the
+    caller asks for the block after the one ending at step k, report(start,
+    stop, k) is called.
     """
     width = stop - start
     n_steps, thin = config.n_steps, config.noise_thinning
     scale = np.sqrt(config.dt / thin)
     seed = int(config.master_seed)
-    spans = [(k0, min(k0 + _BLOCK_STEPS, n_steps)) for k0 in range(0, n_steps, _BLOCK_STEPS)]
-    workers = min(_DRAW_WORKERS, width)
-    edges = [width * w // workers for w in range(workers + 1)]
-    rngs = [None] * width
-    # Every array the workers write is mapped here, in the calling thread.
-    b_max = spans[0][1]
-    buffers = [_mapped(b_max, 2, width) for _ in spans[:2]]
-    tiles = [_mapped(_TILE, b_max, 2) for _ in range(workers)]
-    sub_draws = [_mapped(b_max * thin, 2) if thin > 1 else None for _ in range(workers)]
-
-    def draw(out, lo, hi, tile_buf, xi_buf):
-        b = out.shape[0]
-        for t0 in range(lo, hi, _TILE):
-            t1 = min(t0 + _TILE, hi)
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(start, stop)]
+    b_max = min(_BLOCK_STEPS, n_steps)
+    buffer = _mapped(b_max, 2, width)
+    tile_buf = _mapped(_TILE, b_max, 2)
+    xi_buf = _mapped(b_max * thin, 2) if thin > 1 else None
+    for k0 in range(0, n_steps, _BLOCK_STEPS):
+        k1 = min(k0 + _BLOCK_STEPS, n_steps)
+        b = k1 - k0
+        out = buffer[:b]
+        for t0 in range(0, width, _TILE):
+            t1 = min(t0 + _TILE, width)
             tile = tile_buf[: t1 - t0, :b]
             for j in range(t0, t1):
-                if rngs[j] is None:
-                    rngs[j] = np.random.default_rng(np.random.SeedSequence([seed, start + j]))
                 if thin == 1:
                     rngs[j].standard_normal(out=tile[j - t0])
                 else:
@@ -220,22 +235,103 @@ def _noise_blocks(config: SdeConfig, start: int, stop: int, pool: ThreadPoolExec
                     rngs[j].standard_normal(out=xi)
                     np.sum(xi.reshape(b, thin, 2), axis=1, out=tile[j - t0])
             np.multiply(tile.transpose(1, 2, 0), scale, out=out[:, :, t0:t1])
+        yield out
+        report(start, stop, k1)
 
-    def submit(i):
-        k0, k1 = spans[i]
-        out = buffers[i % 2][: k1 - k0]
-        return out, [pool.submit(draw, out, lo, hi, tiles[w], sub_draws[w])
-                     for w, (lo, hi) in enumerate(zip(edges, edges[1:]))]
 
-    ahead = submit(0)
-    for i, (_, k1) in enumerate(spans):
-        dw, pending = ahead
-        for future in pending:
-            future.result()
-        if i + 1 < len(spans):
-            ahead = submit(i + 1)
-        yield dw
-        _log.debug("trajectories %d-%d: %d/%d steps", start, stop - 1, k1, n_steps)
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _child(run_range, lo: int, hi: int, fd: int):
+    """Body of a forked worker: run one range, report through fd, never return.
+
+    It imports nothing, logs nothing, calls no BLAS, collects no garbage (so
+    no finalizer of an object copied from the parent runs) and leaves through
+    os._exit, so no stdio buffer or exit handler of the parent runs twice.
+    """
+    gc.disable()
+    code = 1
+    try:
+        run_range(lo, hi, lambda start, stop, k: _write_all(fd, _RECORD.pack(start, stop, k)))
+        code = 0
+    except BaseException as exc:
+        payload = pickle.dumps(exc)
+        _write_all(fd, _RECORD.pack(-1, len(payload), 0) + payload)
+    finally:
+        os._exit(code)
+
+
+def _fork_ranges(run_range, ranges, n_steps: int) -> None:
+    """Run run_range(lo, hi, report) for each range in a forked child.
+
+    The parent relays each child's progress records to the log as they come,
+    re-raises the first exception a child reports, and raises if a child ends
+    any other way than by finishing its range, so partial paths never return.
+    Children still running when the call leaves, by return or by exception
+    (KeyboardInterrupt included), are killed; every child is reaped.
+    """
+    pids, spans = {}, {}             # read end -> pid while not reaped, -> (lo, hi)
+    try:
+        for lo, hi in ranges:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _child(run_range, lo, hi, w)
+            os.close(w)
+            pids[r], spans[r] = pid, (lo, hi)
+        pending = dict.fromkeys(pids, b"")
+        with selectors.DefaultSelector() as sel:
+            for r in pids:
+                sel.register(r, selectors.EVENT_READ)
+            while sel.get_map():
+                for key, _ in sel.select():
+                    r = key.fd
+                    data = os.read(r, 1 << 16)
+                    if data:
+                        pending[r] = _relay(pending[r] + data, n_steps)
+                        continue
+                    sel.unregister(r)
+                    _, status = os.waitpid(pids[r], 0)
+                    del pids[r]
+                    if status:
+                        _raise_failure(pending[r], status, *spans[r])
+    finally:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for r in spans:
+            os.close(r)
+
+
+def _relay(data: bytes, n_steps: int) -> bytes:
+    """Log the progress records at the head of data; return the rest."""
+    size = _RECORD.size
+    while len(data) >= size:
+        start, stop, k = _RECORD.unpack_from(data)
+        if start < 0:
+            break
+        _progress(start, stop, k, n_steps)
+        data = data[size:]
+    return data
+
+
+def _raise_failure(rest: bytes, status: int, lo: int, hi: int):
+    """Re-raise a failed child's reported exception, or report how it died."""
+    size = _RECORD.size
+    if len(rest) > size and len(rest) == size + _RECORD.unpack_from(rest)[1]:
+        raise pickle.loads(rest[size:])  # written by our own forked child
+    code = os.waitstatus_to_exitcode(status)
+    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+    raise RuntimeError(f"the worker for trajectories {lo}-{hi - 1} died ({how}) "
+                       "before finishing its range")
 
 
 def _integrate(params, input, config, stepper, n_vars):
@@ -244,13 +340,22 @@ def _integrate(params, input, config, stepper, n_vars):
     rec_mask[ks] = True
     n = config.n_traj
     paths = [_mapped(n, len(ks)) for _ in range(n_vars)]
-    guard_counts = np.zeros(n, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=_DRAW_WORKERS) as pool:
-        for start in range(0, n, config.chunk_size):
-            stop = min(start + config.chunk_size, n)
+    guard_counts = _mapped(n, dtype=np.int64)
+
+    def run_range(lo, hi, report):
+        for start in range(lo, hi, config.chunk_size):
+            stop = min(start + config.chunk_size, hi)
             block = slice(start, stop)
-            stepper(params, input, config, _noise_blocks(config, start, stop, pool), rec_mask,
+            stepper(params, input, config, _noise_blocks(config, start, stop, report), rec_mask,
                     [p[block] for p in paths], guard_counts[block])
+
+    # ranges at least one tile wide, at most one per usable CPU
+    workers = max(1, min(_WORKERS, n // _TILE)) if hasattr(os, "fork") else 1
+    if workers == 1:
+        run_range(0, n, lambda start, stop, k: _progress(start, stop, k, config.n_steps))
+    else:
+        edges = [n * w // workers for w in range(workers + 1)]
+        _fork_ranges(run_range, zip(edges, edges[1:]), config.n_steps)
     seeds = np.column_stack([np.full(n, config.master_seed, dtype=np.uint64), np.arange(n, dtype=np.uint64)])
     aborted = guard_counts > config.max_guard_trips
     return paths, guard_counts, aborted, ks * config.dt, seeds
@@ -352,22 +457,29 @@ def simulate_inverse(params: AmplifierParams, input: CoherentInput, config: SdeC
 
 @dataclass(frozen=True, eq=False)
 class VariableStats:
-    """Per-time ensemble statistics over the non-aborted trajectories."""
+    """Per-time ensemble statistics over the non-aborted trajectories.
+
+    se_variance is None unless ensemble_stats was asked for it.
+    """
 
     mean: np.ndarray
     variance: np.ndarray
     se_mean: np.ndarray
-    se_variance: np.ndarray
+    se_variance: np.ndarray | None
     n_used: int
 
 
-def ensemble_stats(ensemble: TrajectoryEnsemble) -> dict[str, VariableStats]:
-    """Mean/variance time series with standard errors for each recorded variable.
+def ensemble_stats(ensemble: TrajectoryEnsemble, *names: str,
+                   se_variance: bool = False) -> dict[str, VariableStats]:
+    """Mean/variance time series with standard errors for the named variables.
 
-    The variance is the unbiased (ddof=1) estimator; its standard error comes
-    from the fourth central moment, Var(s^2) ~= (m4 - s^4 (n-3)/(n-1)) / n.
-    Aborted trajectories are excluded (they sit outside the model's validity),
-    which requires at least two clean trajectories.
+    names picks among ensemble.variables() ("n", "phi", "upsilon"); none means
+    every recorded one.  The variance is the unbiased (ddof=1) estimator.  Its
+    standard error comes from the fourth central moment,
+    Var(s^2) ~= (m4 - s^4 (n-3)/(n-1)) / n, and is computed only when
+    se_variance is set.  Aborted trajectories are excluded (they sit outside
+    the model's validity), which requires at least two clean trajectories.
+    Each variable is reduced in a copy of its kept paths plus one temporary.
     """
     keep = ~ensemble.aborted
     n = int(keep.sum())
@@ -376,19 +488,20 @@ def ensemble_stats(ensemble: TrajectoryEnsemble) -> dict[str, VariableStats]:
             f"only {n} non-aborted trajectories of {ensemble.n_traj}; "
             "statistics need at least 2"
         )
+    variables = ensemble.variables()
     out = {}
-    for name, paths in ensemble.variables().items():
-        x = paths[keep]
-        mean = x.mean(axis=0)
-        dev = x - mean
-        var = (dev**2).sum(axis=0) / (n - 1)
-        m4 = (dev**4).mean(axis=0)
-        se_var = np.sqrt(np.maximum(m4 - var**2 * (n - 3) / (n - 1), 0.0) / n)
+    for name in names or variables:
+        dev = variables[name][keep]
+        mean = dev.mean(axis=0)
+        dev -= mean
+        m4 = np.power(dev, 4).mean(axis=0) if se_variance else None
+        var = np.square(dev, out=dev).sum(axis=0) / (n - 1)
         out[name] = VariableStats(
             mean=mean,
             variance=var,
             se_mean=np.sqrt(var / n),
-            se_variance=se_var,
+            se_variance=(np.sqrt(np.maximum(m4 - var**2 * (n - 3) / (n - 1), 0.0) / n)
+                         if se_variance else None),
             n_used=n,
         )
     return out

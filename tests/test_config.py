@@ -88,3 +88,21 @@ def test_sidecar_reruns_bit_identically(tmp_path, experiment):
     assert second.csv_files == first.csv_files
     for name, body in first.csv_files.items():
         assert (tmp_path / name).read_text() == body
+
+
+@pytest.mark.parametrize("experiment", ["inverse-expansion", "variance-compare"])
+def test_first_order_sidecar_is_strict_json(tmp_path, experiment):
+    # order 1 has no last-term share; the sidecar records null, never NaN
+    doc = {"experiment": experiment, "master_seed": 3, "out": str(tmp_path),
+           "expansion_order": 1, **SMALL[experiment]}
+    first = run_experiment(validate_config(doc))
+    text = (tmp_path / f"{experiment}.meta.json").read_text()
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    meta = json.loads(text, parse_constant=refuse)
+    assert meta["truncation_diagnostic"] == {"order_k": 1, "last_term_share": None,
+                                             "flagged": False}
+    second = run_experiment(validate_config(text))
+    assert second.csv_files == first.csv_files

@@ -2,7 +2,8 @@
 
 import logging
 import mmap
-import threading
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -126,8 +127,38 @@ ENGINES = {
 }
 
 
+class StepperFailed(Exception):
+    pass
+
+
+def stepper_calling(action, at_block):
+    """A polar stepper that calls action() when it reaches block at_block."""
+    real_stepper = sde._polar_stepper
+
+    def stepper(params, input, config, blocks, *rest):
+        def interrupted(blocks):
+            for i, dw in enumerate(blocks):
+                if i == at_block:
+                    action()
+                yield dw
+        real_stepper(params, input, config, interrupted(blocks), *rest)
+
+    return stepper
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def owner(a):
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
 class TestEngineMatchesOracle:
-    """Time blocks, batch width and draw workers change no bit of any output."""
+    """Worker ranges, time blocks and batch width change no bit of any output."""
 
     @staticmethod
     def config(**kw):
@@ -137,14 +168,22 @@ class TestEngineMatchesOracle:
         base.update(kw)
         return SdeConfig(**base)
 
+    @pytest.fixture
+    def set_workers(self, monkeypatch):
+        """Sets the engine's worker count for the 12-trajectory config (up to 3)."""
+        def set_workers(n):
+            monkeypatch.setattr(sde, "_WORKERS", n)
+            monkeypatch.setattr(sde, "_TILE", 4)
+        return set_workers
+
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     @pytest.mark.parametrize("thinning", [1, 3])
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("block", [1, 5, 26])
     @pytest.mark.parametrize("chunk_size", [1, 7, None])
-    def test_bit_identical(self, monkeypatch, engine, thinning, workers, block, chunk_size):
+    def test_bit_identical(self, monkeypatch, set_workers, engine, thinning, workers, block, chunk_size):
         simulate, stepper, fields, inp, floor = ENGINES[engine]
-        monkeypatch.setattr(sde, "_DRAW_WORKERS", workers)
+        set_workers(workers)
         monkeypatch.setattr(sde, "_BLOCK_STEPS", block)
         kw = {} if chunk_size is None else {"chunk_size": chunk_size}
         cfg = self.config(noise_thinning=thinning, floor_epsilon=floor, **kw)
@@ -158,38 +197,51 @@ class TestEngineMatchesOracle:
         assert ens.aborted.any() and not ens.aborted.all()
         assert np.array_equal(ens.times, cfg.recorded_steps() * cfg.dt)
 
-    def test_threads_joined_on_return(self, monkeypatch):
-        monkeypatch.setattr(sde, "_DRAW_WORKERS", 3)
-        monkeypatch.setattr(sde, "_BLOCK_STEPS", 5)
-        baseline = threading.active_count()
+    def test_children_reaped_on_return(self, monkeypatch, set_workers):
+        set_workers(3)
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
         simulate_polar(IDEAL_2, CoherentInput(3.0), self.config())
-        assert threading.active_count() == baseline
+        assert len(forks) == 3
+        assert_no_children()
 
-    def test_stepper_error_propagates_and_threads_are_joined(self, monkeypatch):
-        monkeypatch.setattr(sde, "_DRAW_WORKERS", 3)
+    def test_child_error_reaches_caller_and_children_are_reaped(self, monkeypatch, set_workers):
+        set_workers(3)
+
+        def fail():
+            raise StepperFailed("stepper failed on block 2")
+
         monkeypatch.setattr(sde, "_BLOCK_STEPS", 5)
-        real_stepper = sde._polar_stepper
-
-        def failing_stepper(params, input, config, blocks, *rest):
-            def fail_on_third(blocks):
-                for i, dw in enumerate(blocks):
-                    if i == 2:
-                        raise RuntimeError("stepper failed")
-                    yield dw
-            real_stepper(params, input, config, fail_on_third(blocks), *rest)
-
-        monkeypatch.setattr(sde, "_polar_stepper", failing_stepper)
-        baseline = threading.active_count()
-        with pytest.raises(RuntimeError, match="stepper failed"):
+        monkeypatch.setattr(sde, "_polar_stepper", stepper_calling(fail, at_block=2))
+        with pytest.raises(StepperFailed, match=r"^stepper failed on block 2$"):
             simulate_polar(IDEAL_2, CoherentInput(3.0), self.config())
-        assert threading.active_count() == baseline
+        assert_no_children()
 
-    def test_paths_and_noise_blocks_have_their_own_mappings(self, monkeypatch):
-        def owner(a):
-            while isinstance(a, np.ndarray) and a.base is not None:
-                a = a.base
-            return a.obj if isinstance(a, memoryview) else a
+    def test_killed_child_makes_the_call_raise(self, monkeypatch, set_workers):
+        set_workers(2)
+        parent = os.getpid()
 
+        def die():
+            if os.getpid() == parent:
+                raise AssertionError("the stepper ran in the calling process")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(sde, "_BLOCK_STEPS", 5)
+        monkeypatch.setattr(sde, "_polar_stepper", stepper_calling(die, at_block=1))
+        with pytest.raises(RuntimeError, match=rf"died \(killed by signal {int(signal.SIGKILL)}\)"):
+            simulate_polar(IDEAL_2, CoherentInput(3.0), self.config())
+        assert_no_children()
+
+    def test_paths_and_noise_blocks_have_their_own_mappings(self, monkeypatch, set_workers):
+        set_workers(1)  # in-process, where the stepper can be watched
         owners = []
         real_stepper = sde._polar_stepper
 
@@ -203,21 +255,40 @@ class TestEngineMatchesOracle:
         monkeypatch.setattr(sde, "_polar_stepper", spying_stepper)
         monkeypatch.setattr(sde, "_BLOCK_STEPS", 5)
         ens = simulate_polar(IDEAL_2, CoherentInput(3.0), self.config())
-        owners += [owner(ens.n_paths), owner(ens.phi_paths)]
-        assert len(owners) == 5 + 2
+        assert len(owners) == 5
         assert all(isinstance(o, mmap.mmap) for o in owners)
-        # two noise buffers taking turns, and one mapping per path array
-        assert len({id(o) for o in owners}) == 4
+        assert len({id(o) for o in owners}) == 1  # one noise buffer, reused
+        outputs = [ens.n_paths, ens.phi_paths, ens.guard_counts]
+        assert all(isinstance(owner(a), mmap.mmap) for a in outputs)
+        assert len({id(owner(a)) for a in outputs}) == 3
+        # shared: a forked child's writes reach this process
+        pid = os.fork()
+        if pid == 0:
+            try:
+                for a in outputs:
+                    a[-1, ...] = -7
+            finally:
+                os._exit(0)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert all(np.all(a[-1] == -7) for a in outputs)
 
-    def test_progress_logged_per_block(self, monkeypatch, caplog):
+    def test_progress_logged_per_block(self, monkeypatch, caplog, set_workers):
         monkeypatch.setattr(sde, "_BLOCK_STEPS", 10)
-        cfg = self.config(n_traj=5, chunk_size=3)
-        with caplog.at_level(logging.DEBUG, logger="phasediff.sde"):
-            simulate_polar(IDEAL_2, CoherentInput(3.0), cfg)
-        assert [r.getMessage() for r in caplog.records if r.name == "phasediff.sde"] == [
-            f"trajectories {batch}: {k}/23 steps"
-            for batch in ("0-2", "3-4") for k in (10, 20, 23)
-        ]
+        expected = {  # records of each worker's range, in order
+            1: [["0-1", "2-3", "4-5", "6-7", "8-9", "10-11"]],
+            2: [["0-1", "2-3", "4-5"], ["6-7", "8-9", "10-11"]],
+            3: [["0-1", "2-3"], ["4-5", "6-7"], ["8-9", "10-11"]],
+        }
+        for n_workers, ranges in expected.items():
+            set_workers(n_workers)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="phasediff.sde"):
+                simulate_polar(IDEAL_2, CoherentInput(3.0), self.config(chunk_size=2))
+            got = [r.getMessage() for r in caplog.records if r.name == "phasediff.sde"]
+            assert len(got) == 6 * 3
+            for batches in ranges:
+                want = [f"trajectories {b}: {k}/23 steps" for b in batches for k in (10, 20, 23)]
+                assert [m for m in got if m in want] == want
 
 
 class TestReproducibility:
@@ -287,7 +358,7 @@ class TestPolar:
         cfg = SdeConfig(dt=1e-3, t_max=4.0, n_traj=500, master_seed=2, record_every=100)
         inp = CoherentInput(2.25, np.pi)
         ens = simulate_polar(IDEAL_1, inp, cfg)
-        stats = ensemble_stats(ens)["phi"]
+        stats = ensemble_stats(ens, "phi", se_variance=True)["phi"]
         sn = small_noise_phase_variance(IDEAL_1, inp, ens.times)
         assert np.all(stats.variance >= sn - 3 * stats.se_variance)
 
@@ -413,7 +484,47 @@ class TestGuards:
         assert np.all(ens.upsilon_paths <= 1.0 / cfg.floor_epsilon)
 
 
+def oracle_ensemble_stats(ensemble):
+    """The reduction of every variable with its temporaries kept apart."""
+    keep = ~ensemble.aborted
+    n = int(keep.sum())
+    out = {}
+    for name, paths in ensemble.variables().items():
+        x = paths[keep]
+        mean = x.mean(axis=0)
+        dev = x - mean
+        var = (dev**2).sum(axis=0) / (n - 1)
+        m4 = (dev**4).mean(axis=0)
+        se_var = np.sqrt(np.maximum(m4 - var**2 * (n - 3) / (n - 1), 0.0) / n)
+        out[name] = dict(mean=mean, variance=var, se_mean=np.sqrt(var / n), se_variance=se_var)
+    return n, out
+
+
 class TestEnsembleStats:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_matches_oracle_bit_for_bit(self, engine):
+        simulate, _, _, inp, floor = ENGINES[engine]
+        cfg = SdeConfig(dt=0.01, t_max=0.5, n_traj=300, master_seed=8, record_every=5,
+                        floor_epsilon=floor)
+        ens = simulate(IDEAL_2, inp, cfg)
+        assert ens.aborted.any() and not ens.aborted.all()
+        before = {name: paths.copy() for name, paths in ens.variables().items()}
+        n, want = oracle_ensemble_stats(ens)
+        for names in [(), *[(name,) for name in want]]:
+            for with_se in (False, True):
+                got = ensemble_stats(ens, *names, se_variance=with_se)
+                assert sorted(got) == sorted(names or want)
+                for name, stats in got.items():
+                    assert stats.n_used == n
+                    for field in ("mean", "variance", "se_mean"):
+                        assert np.array_equal(getattr(stats, field), want[name][field]), field
+                    if with_se:
+                        assert np.array_equal(stats.se_variance, want[name]["se_variance"])
+                    else:
+                        assert stats.se_variance is None
+        for name, paths in ens.variables().items():
+            assert np.array_equal(paths, before[name])
+
     def test_constant_paths_have_zero_variance(self):
         ens = TrajectoryEnsemble(
             times=np.array([0.0, 1.0, 2.0]),
@@ -422,7 +533,7 @@ class TestEnsembleStats:
             aborted=np.zeros(4, dtype=bool),
             phi_paths=np.full((4, 3), 1.3),
         )
-        stats = ensemble_stats(ens)["phi"]
+        stats = ensemble_stats(ens, se_variance=True)["phi"]
         assert np.all(stats.variance == 0.0)
         assert np.all(stats.se_variance == 0.0)
         assert np.all(stats.mean == 1.3)

@@ -104,7 +104,7 @@ class TestJensenBound:
     def test_never_exceeds_sampled_variance_beyond_noise(self):
         p, inp = IDEAL_1, CoherentInput(2.25)
         cfg = SdeConfig(dt=1e-3, t_max=4.0, n_traj=500, master_seed=2, record_every=40)
-        stats = ensemble_stats(simulate_polar(p, inp, cfg))["phi"]
+        stats = ensemble_stats(simulate_polar(p, inp, cfg), "phi", se_variance=True)["phi"]
         t = np.arange(0, cfg.n_steps + 1, cfg.record_every) * cfg.dt
         sn = small_noise_phase_variance(p, inp, t)
         assert np.all(sn <= stats.variance + 3 * stats.se_variance)

@@ -3,13 +3,18 @@
 Outputs are written under the config's out directory: one or more
 <experiment>[.<part>].csv files plus an <experiment>.meta.json sidecar whose
 "config" key is the fully-resolved document (feeding that sidecar back to the
-CLI reruns the experiment bit-identically; only the sidecar's written_at and
-wall_time_s fields vary between reruns).  Numbers are written with 17
-significant digits and NaN/Inf are refused, so CSV bodies round-trip exactly.
+CLI reruns the experiment bit-identically; only the sidecar's written_at,
+wall_time_s and config.out fields vary between reruns).  Numbers are written
+with 17 significant digits and NaN/Inf are refused, so CSV bodies round-trip
+exactly.  A large table (at least _CSV_CELLS cells per worker) is formatted
+by forked workers, one contiguous range of rows each
+(phasediff._fork.run_ranges), into the same bytes the calling process would
+write.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -17,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__ as _pkg_version
+from ._fork import run_ranges, usable_cpus
 from .config import ExperimentConfig, experiment_registry
 from .distributions import (
     PhaseDensity,
@@ -36,6 +42,9 @@ from .smallnoise import small_noise_phase_variance
 __all__ = ["ResultBundle", "run_experiment", "list_experiments"]
 
 ABORT_FRACTION_LIMIT = 0.10
+
+_CSV_CELLS = 1 << 16      # fewest cells a CSV worker formats
+_WORKERS = usable_cpus()  # most CSV workers
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,10 +70,19 @@ def _csv_body(header: list[str], columns: list[np.ndarray]) -> str:
         raise GuardTripError(
             f"non-finite value {float(table[i, j])!r} in column {header[j]!r}, row {i}, "
             "reached the CSV writer")
-    row = ",".join(["%.17g"] * len(columns))
-    lines = [",".join(header)]
-    lines.extend(row % tuple(r) for r in table.tolist())
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    # at least _CSV_CELLS cells per worker; at most one worker per usable CPU and per row
+    workers = max(1, min(_WORKERS, table.size // _CSV_CELLS, n))
+    parts = run_ranges(functools.partial(_format_rows, table, row), n, workers, what="rows")
+    parts.insert(0, (",".join(header) + "\n").encode())
+    body = b"".join(parts)
+    del parts  # at most two copies of the text at once
+    return body.decode()
+
+
+def _format_rows(table: np.ndarray, row: str, lo: int, hi: int, report) -> bytes:
+    """Rows lo..hi-1 of table in the row template, as ASCII bytes."""
+    return "".join([row % tuple(r) for r in table[lo:hi].tolist()]).encode("ascii")
 
 
 def _check_aborts(ensemble, metadata):

@@ -12,25 +12,23 @@ Engine: the trajectories are split into contiguous ranges, one per worker
 (at most one per usable CPU, each at least _TILE trajectories wide).  A
 worker loops over its range up to chunk_size trajectories at a time, stepped
 together as one wide array through time blocks of _BLOCK_STEPS steps: it
-draws one block's increments, time-major, (steps, 2, trajectories), so a step
-reads contiguous rows, then steps through them.  A PCG64 stream read in
-blocks equals the stream read in one call, and the steppers evaluate each
-trajectory's update with the same floating-point operations whatever the
-batch width, so neither the ranges, nor the batching, nor the block length
-changes a sampled value.
+draws one block's increments, time-major, (steps, columns, trajectories), so
+a step reads contiguous rows, then steps through them (the inverse process
+keeps only the number-noise column).  A PCG64 stream read in blocks equals
+the stream read in one call, and the steppers evaluate each trajectory's
+update with the same floating-point operations whatever the batch width, so
+neither the ranges, nor the batching, nor the block length changes a sampled
+value.
 
-Each worker is a child made by os.fork(): it shares the parent's imported
-modules, so nothing is pickled or imported to start it.  It writes the
-recorded paths and guard counts in place, into anonymous shared memory
-mappings (_mapped) made before the fork, sends progress records and any
-exception on a pipe, and leaves through os._exit.  A child imports nothing,
-logs nothing, calls no BLAS and flushes no stdio, so it never touches a lock
-or buffer that another thread of the parent held at the fork.  With one
-worker (one usable CPU, fewer than two tiles of trajectories, or no os.fork)
-the same loop runs in the calling process.  Every engine array has a mapping
-of its own, so the memory a run holds does not depend on the malloc heap's
-history.  Progress goes to the "phasediff.sde" logger, from the calling
-process: one DEBUG record per stepped time block of each batch.
+The ranges run through phasediff._fork.run_ranges: each worker is a forked
+child (one worker, for one usable CPU or fewer than two tiles of
+trajectories, runs in the calling process).  A child writes the recorded
+paths and guard counts in place, into anonymous shared memory mappings
+(_mapped) made before the fork, and sends its progress records to the
+parent.  Every engine array has a mapping of its own, so the memory a run
+holds does not depend on the malloc heap's history.  Progress goes to the
+"phasediff.sde" logger, from the calling process: one DEBUG record per
+stepped time block of each batch.
 
 The schemes are plain Euler-Maruyama (the equations are Ito equations; the
 weak order-1 accuracy is all the moment comparisons need — swapping in a
@@ -39,19 +37,14 @@ higher-order scheme would only touch the two _stepper routines).
 
 from __future__ import annotations
 
-import gc
 import logging
 import math
 import mmap
-import os
-import pickle
-import selectors
-import signal
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fork import run_ranges, usable_cpus
 from .errors import GuardTripError
 from .params import AmplifierParams, CoherentInput
 
@@ -164,25 +157,14 @@ class TrajectoryEnsemble:
         return out
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-# Each worker holds one noise block, 375 x 2 x width doubles: 24 MB across the
-# workers of a 4000-path ensemble.  Longer blocks cut the per-call overhead of
-# the draw, but memory goes with them.
+# Each worker holds one noise block, 375 x columns x width doubles: 24 MB across
+# the workers of a 4000-path polar ensemble, 12 MB for the inverse one.  Longer
+# blocks cut the per-call overhead of the draw, but memory goes with them.
 _BLOCK_STEPS = 375                   # time steps per noise block
 _TILE = 32                           # trajectories per transpose tile (192 kB); the narrowest range
-_WORKERS = _usable_cpus()            # most ranges an ensemble is split into
+_WORKERS = usable_cpus()             # most ranges an ensemble is split into
 
 _log = logging.getLogger("phasediff.sde")
-
-# A child's pipe carries (start, stop, steps) per stepped block of the batch
-# start..stop-1; (-1, size, 0) announces the child's pickled exception, size bytes.
-_RECORD = struct.Struct("=3q")
 
 
 def _mapped(*shape: int, dtype=np.float64) -> np.ndarray:
@@ -203,13 +185,15 @@ def _progress(start: int, stop: int, k: int, n_steps: int) -> None:
     _log.debug("trajectories %d-%d: %d/%d steps", start, stop - 1, k, n_steps)
 
 
-def _noise_blocks(config: SdeConfig, start: int, stop: int, report):
+def _noise_blocks(config: SdeConfig, start: int, stop: int, report, columns: int):
     """Wiener increments of trajectories start..stop-1, one time block at a time.
 
-    Yields (b, 2, width) arrays, time-major, b <= _BLOCK_STEPS, all views of
-    one buffer: a block is valid until the next one is requested.  Once the
-    caller asks for the block after the one ending at step k, report(start,
-    stop, k) is called.
+    Both normals of every sub-step are drawn, as the stream layout requires,
+    but only the first `columns` (1: number noise; 2: number and phase noise)
+    are scaled into the blocks.  Yields (b, columns, width) arrays, time-major,
+    b <= _BLOCK_STEPS, all views of one buffer: a block is valid until the
+    next one is requested.  Once the caller asks for the block after the one
+    ending at step k, report(start, stop, k) is called.
     """
     width = stop - start
     n_steps, thin = config.n_steps, config.noise_thinning
@@ -217,7 +201,7 @@ def _noise_blocks(config: SdeConfig, start: int, stop: int, report):
     seed = int(config.master_seed)
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(start, stop)]
     b_max = min(_BLOCK_STEPS, n_steps)
-    buffer = _mapped(b_max, 2, width)
+    buffer = _mapped(b_max, columns, width)
     tile_buf = _mapped(_TILE, b_max, 2)
     xi_buf = _mapped(b_max * thin, 2) if thin > 1 else None
     for k0 in range(0, n_steps, _BLOCK_STEPS):
@@ -234,107 +218,12 @@ def _noise_blocks(config: SdeConfig, start: int, stop: int, report):
                     xi = xi_buf[: b * thin]
                     rngs[j].standard_normal(out=xi)
                     np.sum(xi.reshape(b, thin, 2), axis=1, out=tile[j - t0])
-            np.multiply(tile.transpose(1, 2, 0), scale, out=out[:, :, t0:t1])
+            np.multiply(tile[:, :, :columns].transpose(1, 2, 0), scale, out=out[:, :, t0:t1])
         yield out
         report(start, stop, k1)
 
 
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _child(run_range, lo: int, hi: int, fd: int):
-    """Body of a forked worker: run one range, report through fd, never return.
-
-    It imports nothing, logs nothing, calls no BLAS, collects no garbage (so
-    no finalizer of an object copied from the parent runs) and leaves through
-    os._exit, so no stdio buffer or exit handler of the parent runs twice.
-    """
-    gc.disable()
-    code = 1
-    try:
-        run_range(lo, hi, lambda start, stop, k: _write_all(fd, _RECORD.pack(start, stop, k)))
-        code = 0
-    except BaseException as exc:
-        payload = pickle.dumps(exc)
-        _write_all(fd, _RECORD.pack(-1, len(payload), 0) + payload)
-    finally:
-        os._exit(code)
-
-
-def _fork_ranges(run_range, ranges, n_steps: int) -> None:
-    """Run run_range(lo, hi, report) for each range in a forked child.
-
-    The parent relays each child's progress records to the log as they come,
-    re-raises the first exception a child reports, and raises if a child ends
-    any other way than by finishing its range, so partial paths never return.
-    Children still running when the call leaves, by return or by exception
-    (KeyboardInterrupt included), are killed; every child is reaped.
-    """
-    pids, spans = {}, {}             # read end -> pid while not reaped, -> (lo, hi)
-    try:
-        for lo, hi in ranges:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                _child(run_range, lo, hi, w)
-            os.close(w)
-            pids[r], spans[r] = pid, (lo, hi)
-        pending = dict.fromkeys(pids, b"")
-        with selectors.DefaultSelector() as sel:
-            for r in pids:
-                sel.register(r, selectors.EVENT_READ)
-            while sel.get_map():
-                for key, _ in sel.select():
-                    r = key.fd
-                    data = os.read(r, 1 << 16)
-                    if data:
-                        pending[r] = _relay(pending[r] + data, n_steps)
-                        continue
-                    sel.unregister(r)
-                    _, status = os.waitpid(pids[r], 0)
-                    del pids[r]
-                    if status:
-                        _raise_failure(pending[r], status, *spans[r])
-    finally:
-        for pid in pids.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for r in spans:
-            os.close(r)
-
-
-def _relay(data: bytes, n_steps: int) -> bytes:
-    """Log the progress records at the head of data; return the rest."""
-    size = _RECORD.size
-    while len(data) >= size:
-        start, stop, k = _RECORD.unpack_from(data)
-        if start < 0:
-            break
-        _progress(start, stop, k, n_steps)
-        data = data[size:]
-    return data
-
-
-def _raise_failure(rest: bytes, status: int, lo: int, hi: int):
-    """Re-raise a failed child's reported exception, or report how it died."""
-    size = _RECORD.size
-    if len(rest) > size and len(rest) == size + _RECORD.unpack_from(rest)[1]:
-        raise pickle.loads(rest[size:])  # written by our own forked child
-    code = os.waitstatus_to_exitcode(status)
-    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-    raise RuntimeError(f"the worker for trajectories {lo}-{hi - 1} died ({how}) "
-                       "before finishing its range")
-
-
-def _integrate(params, input, config, stepper, n_vars):
+def _integrate(params, input, config, stepper, n_vars, noise_columns):
     ks = config.recorded_steps()
     rec_mask = np.zeros(config.n_steps + 1, dtype=bool)
     rec_mask[ks] = True
@@ -346,16 +235,13 @@ def _integrate(params, input, config, stepper, n_vars):
         for start in range(lo, hi, config.chunk_size):
             stop = min(start + config.chunk_size, hi)
             block = slice(start, stop)
-            stepper(params, input, config, _noise_blocks(config, start, stop, report), rec_mask,
-                    [p[block] for p in paths], guard_counts[block])
+            blocks = _noise_blocks(config, start, stop, report, noise_columns)
+            stepper(params, input, config, blocks, rec_mask, [p[block] for p in paths],
+                    guard_counts[block])
 
     # ranges at least one tile wide, at most one per usable CPU
-    workers = max(1, min(_WORKERS, n // _TILE)) if hasattr(os, "fork") else 1
-    if workers == 1:
-        run_range(0, n, lambda start, stop, k: _progress(start, stop, k, config.n_steps))
-    else:
-        edges = [n * w // workers for w in range(workers + 1)]
-        _fork_ranges(run_range, zip(edges, edges[1:]), config.n_steps)
+    run_ranges(run_range, n, max(1, min(_WORKERS, n // _TILE)),
+               lambda start, stop, k: _progress(start, stop, k, config.n_steps), "trajectories")
     seeds = np.column_stack([np.full(n, config.master_seed, dtype=np.uint64), np.arange(n, dtype=np.uint64)])
     aborted = guard_counts > config.max_guard_trips
     return paths, guard_counts, aborted, ks * config.dt, seeds
@@ -405,7 +291,7 @@ def _inverse_stepper(params, input, config, blocks, rec_mask, chunk_paths, guard
             u_val = (
                 u_val
                 - (km * u_val - ku * u_val**2) * dt
-                - np.sqrt(2.0 * ku * u_val**3) * dw_k[0]
+                - np.sqrt(2.0 * ku * (u_val * u_val * u_val)) * dw_k[0]
             )
             outside = (u_val < floor) | (u_val > ceil)
             if outside.any():
@@ -426,7 +312,7 @@ def simulate_polar(params: AmplifierParams, input: CoherentInput, config: SdeCon
     with independent increments, both evaluated at the step's start (Ito).
     """
     paths, guard_counts, aborted, times, seeds = _integrate(
-        params, input, config, _polar_stepper, n_vars=2
+        params, input, config, _polar_stepper, n_vars=2, noise_columns=2
     )
     return TrajectoryEnsemble(
         times=times, seeds=seeds, guard_counts=guard_counts, aborted=aborted,
@@ -447,7 +333,7 @@ def simulate_inverse(params: AmplifierParams, input: CoherentInput, config: SdeC
             f"amplitude_sq must exceed 1 for the reciprocal process, got {input.amplitude_sq}"
         )
     paths, guard_counts, aborted, times, seeds = _integrate(
-        params, input, config, _inverse_stepper, n_vars=1
+        params, input, config, _inverse_stepper, n_vars=1, noise_columns=1
     )
     return TrajectoryEnsemble(
         times=times, seeds=seeds, guard_counts=guard_counts, aborted=aborted,
@@ -476,13 +362,15 @@ def ensemble_stats(ensemble: TrajectoryEnsemble, *names: str,
     names picks among ensemble.variables() ("n", "phi", "upsilon"); none means
     every recorded one.  The variance is the unbiased (ddof=1) estimator.  Its
     standard error comes from the fourth central moment,
-    Var(s^2) ~= (m4 - s^4 (n-3)/(n-1)) / n, and is computed only when
-    se_variance is set.  Aborted trajectories are excluded (they sit outside
-    the model's validity), which requires at least two clean trajectories.
-    Each variable is reduced in a copy of its kept paths plus one temporary.
+    Var(s^2) ~= (m4 - s^4 (n-3)/(n-1)) / n with m4 = mean((dev^2)^2), and is
+    computed only when se_variance is set.  Aborted trajectories are excluded
+    (they sit outside the model's validity), which requires at least two clean
+    trajectories.  Each variable is reduced in place in one copy of its kept
+    paths, held in a mapping of its own (_mapped): dev, then dev^2, then
+    dev^4.
     """
-    keep = ~ensemble.aborted
-    n = int(keep.sum())
+    kept = np.flatnonzero(~ensemble.aborted)
+    n = len(kept)
     if n < 2:
         raise GuardTripError(
             f"only {n} non-aborted trajectories of {ensemble.n_traj}; "
@@ -491,11 +379,15 @@ def ensemble_stats(ensemble: TrajectoryEnsemble, *names: str,
     variables = ensemble.variables()
     out = {}
     for name in names or variables:
-        dev = variables[name][keep]
+        paths = variables[name]
+        # mode="raise", and so np.compress, would stage `out` in a heap temporary
+        # as large as the copy; the indices are in range, so "clip" moves none
+        dev = np.take(paths, kept, axis=0, mode="clip",
+                      out=_mapped(n, *paths.shape[1:], dtype=paths.dtype))
         mean = dev.mean(axis=0)
         dev -= mean
-        m4 = np.power(dev, 4).mean(axis=0) if se_variance else None
         var = np.square(dev, out=dev).sum(axis=0) / (n - 1)
+        m4 = np.square(dev, out=dev).mean(axis=0) if se_variance else None
         out[name] = VariableStats(
             mean=mean,
             variance=var,

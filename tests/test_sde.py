@@ -1,5 +1,6 @@
 """Trajectory engine: reproducibility, guards, statistics, convergence."""
 
+import functools
 import logging
 import mmap
 import os
@@ -75,7 +76,8 @@ def oracle_polar_stepper(params, input, config, dw, rec_mask, chunk_paths, guard
     guard_counts += trips
 
 
-def oracle_inverse_stepper(params, input, config, dw, rec_mask, chunk_paths, guard_counts):
+def oracle_inverse_stepper(params, input, config, dw, rec_mask, chunk_paths, guard_counts,
+                           cube=lambda u: u * u * u):
     ku, km = params.kappa_up, params.kappa_minus
     dt, floor = config.dt, config.floor_epsilon
     ceil = 1.0 / floor
@@ -89,7 +91,7 @@ def oracle_inverse_stepper(params, input, config, dw, rec_mask, chunk_paths, gua
         u_val = (
             u_val
             - (km * u_val - ku * u_val**2) * dt
-            - np.sqrt(2.0 * ku * u_val**3) * dw[:, k, 0]
+            - np.sqrt(2.0 * ku * cube(u_val)) * dw[:, k, 0]
         )
         outside = (u_val < floor) | (u_val > ceil)
         if outside.any():
@@ -271,6 +273,40 @@ class TestEngineMatchesOracle:
                 os._exit(0)
         assert os.waitpid(pid, 0)[1] == 0
         assert all(np.all(a[-1] == -7) for a in outputs)
+
+    def test_inverse_blocks_hold_only_the_number_noise(self, monkeypatch, set_workers):
+        set_workers(1)  # in-process, where the stepper can be watched
+        shapes = []
+        real_stepper = sde._inverse_stepper
+
+        def spying_stepper(params, input, config, blocks, *rest):
+            def spy(blocks):
+                for dw in blocks:
+                    shapes.append(dw.shape)
+                    yield dw
+            real_stepper(params, input, config, spy(blocks), *rest)
+
+        monkeypatch.setattr(sde, "_inverse_stepper", spying_stepper)
+        monkeypatch.setattr(sde, "_BLOCK_STEPS", 10)
+        simulate_inverse(IDEAL_2, CoherentInput(3.0), self.config())
+        assert shapes == [(10, 1, 12), (10, 1, 12), (3, 1, 12)]
+
+    def test_cube_stays_within_rounding_of_pow(self):
+        # u*u*u in place of libm's u**3 moves paths by rounding only, and no
+        # guard trip or abort
+        weak, floor = ENGINES["inverse"][3:]
+        pow_stepper = functools.partial(oracle_inverse_stepper, cube=lambda u: u**3)
+        for inp, cfg in [
+            (weak, self.config(floor_epsilon=floor, t_max=2.0, n_traj=40)),
+            (CoherentInput(3.0), SdeConfig(dt=5e-4, t_max=2.0, n_traj=200, master_seed=1,
+                                           record_every=200)),
+        ]:
+            ens = simulate_inverse(IDEAL_2, inp, cfg)
+            (want,), guard_counts = oracle_simulate(IDEAL_2, inp, cfg, pow_stepper, 1)
+            assert ens.guard_counts.any()
+            assert np.array_equal(ens.guard_counts, guard_counts)
+            assert np.array_equal(ens.aborted, guard_counts > cfg.max_guard_trips)
+            np.testing.assert_allclose(ens.upsilon_paths, want, rtol=1e-12, atol=0)
 
     def test_progress_logged_per_block(self, monkeypatch, caplog, set_workers):
         monkeypatch.setattr(sde, "_BLOCK_STEPS", 10)
@@ -484,7 +520,7 @@ class TestGuards:
         assert np.all(ens.upsilon_paths <= 1.0 / cfg.floor_epsilon)
 
 
-def oracle_ensemble_stats(ensemble):
+def oracle_ensemble_stats(ensemble, fourth=lambda dev: (dev**2) ** 2):
     """The reduction of every variable with its temporaries kept apart."""
     keep = ~ensemble.aborted
     n = int(keep.sum())
@@ -494,7 +530,7 @@ def oracle_ensemble_stats(ensemble):
         mean = x.mean(axis=0)
         dev = x - mean
         var = (dev**2).sum(axis=0) / (n - 1)
-        m4 = (dev**4).mean(axis=0)
+        m4 = fourth(dev).mean(axis=0)
         se_var = np.sqrt(np.maximum(m4 - var**2 * (n - 3) / (n - 1), 0.0) / n)
         out[name] = dict(mean=mean, variance=var, se_mean=np.sqrt(var / n), se_variance=se_var)
     return n, out
@@ -524,6 +560,11 @@ class TestEnsembleStats:
                         assert stats.se_variance is None
         for name, paths in ens.variables().items():
             assert np.array_equal(paths, before[name])
+        # (dev^2)^2 in place of libm's dev**4 moves se_variance by rounding only
+        _, with_pow = oracle_ensemble_stats(ens, fourth=lambda dev: dev**4)
+        for name, stats in ensemble_stats(ens, se_variance=True).items():
+            np.testing.assert_allclose(stats.se_variance, with_pow[name]["se_variance"],
+                                       rtol=1e-14, atol=0)
 
     def test_constant_paths_have_zero_variance(self):
         ens = TrajectoryEnsemble(

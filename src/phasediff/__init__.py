@@ -17,16 +17,7 @@ from .moments import (
     high_gain_inverse_snr,
 )
 from .smallnoise import small_noise_phase_variance
-from .expansion import (
-    ExpansionTable,
-    build_table,
-    g_n,
-    initial_inverse_moments,
-    mean_inverse,
-    chi_n,
-    phase_variance_expansion,
-    truncation_diagnostic,
-)
+from .expansion import mean_inverse, phase_variance_expansion, truncation_diagnostic
 from .sde import (
     SdeConfig,
     TrajectoryEnsemble,
@@ -58,12 +49,7 @@ __all__ = [
     "inverse_snr",
     "high_gain_inverse_snr",
     "small_noise_phase_variance",
-    "ExpansionTable",
-    "build_table",
-    "g_n",
-    "initial_inverse_moments",
     "mean_inverse",
-    "chi_n",
     "phase_variance_expansion",
     "truncation_diagnostic",
     "SdeConfig",

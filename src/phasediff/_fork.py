@@ -1,15 +1,18 @@
 """Run one function over contiguous index ranges, each range in a forked child.
 
-run_ranges(fn, n, workers) splits 0..n-1 into contiguous ranges and calls
-fn(lo, hi, report) once per range.  With two or more ranges each call runs in
-a child made by os.fork(): it shares the parent's memory as it was at the
-fork, so nothing is pickled or imported to start it.  A child sends what it
-has to say on a pipe to the parent: progress records, then its result or its
-exception.  It imports nothing, logs nothing, calls no BLAS, collects no
-garbage (so no finalizer of an object copied from the parent runs) and leaves
-through os._exit, so no stdio buffer or exit handler of the parent runs twice
-and no lock that another thread of the parent held at the fork is touched.
-With one range, or without os.fork, the calls run in the calling process.
+run_ranges(fn, n, smallest) splits 0..n-1 into contiguous ranges, one per
+usable CPU but each at least `smallest` long, and calls fn(lo, hi, report)
+once per range.  The caller states only how small a range may be; the
+worker count is picked here alone (_WORKERS).  With two or more ranges each
+call runs in a child made by os.fork(): it shares the parent's memory as it
+was at the fork, so nothing is pickled or imported to start it.  A child
+sends what it has to say on a pipe to the parent: progress records, then its
+result or its exception.  It imports nothing, logs nothing, calls no BLAS,
+collects no garbage (so no finalizer of an object copied from the parent
+runs) and leaves through os._exit, so no stdio buffer or exit handler of the
+parent runs twice and no lock that another thread of the parent held at the
+fork is touched.  With one range, or without os.fork, the calls run in the
+calling process.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import selectors
 import signal
 import struct
 
-__all__ = ["run_ranges", "usable_cpus"]
+__all__ = ["run_ranges"]
 
 # Every pipe message starts with a record of three int64.  (a, b, c) with
 # a >= 0 is a progress record, passed on as progress(a, b, c); (_RESULT, size,
@@ -32,31 +35,31 @@ _RESULT, _ERROR = -2, -1
 _READ = 1 << 16
 
 
-def usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
+try:  # most ranges a call is split into: one per usable CPU
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # platforms without CPU affinity
+    _WORKERS = os.cpu_count() or 1
 
 
 def _quiet(a: int, b: int, c: int) -> None:
     pass
 
 
-def run_ranges(fn, n: int, workers: int, progress=_quiet, what: str = "items") -> list:
+def run_ranges(fn, n: int, smallest: int, progress=_quiet, what: str = "items") -> list:
     """Return [fn(lo, hi, report) for each range], in range order.
 
-    0..n-1 is split into `workers` contiguous ranges whose sizes differ by at
-    most one.  fn returns bytes or None; a child's bytes come back as a
-    bytearray with the same content.  report(a, b, c), with a >= 0, calls
-    progress(a, b, c) in the calling process, in the order each child sent
-    them.  A child's exception is raised again here with its type and
-    message; a child that ends any other way than by returning makes the call
-    raise RuntimeError, so no partial result comes back.  Children still
-    running when the call leaves, by return or by exception (KeyboardInterrupt
-    included), are killed; every child is reaped.  `what` names the indices
-    in that RuntimeError.
+    0..n-1 is split into max(1, min(_WORKERS, n // smallest)) contiguous
+    ranges whose sizes differ by at most one.  fn returns bytes or None; a
+    child's bytes come back as a bytearray with the same content.
+    report(a, b, c), with a >= 0, calls progress(a, b, c) in the calling
+    process, in the order each child sent them.  A child's exception is
+    raised again here with its type and message; a child that ends any other
+    way than by returning makes the call raise RuntimeError, so no partial
+    result comes back.  Children still running when the call leaves, by
+    return or by exception (KeyboardInterrupt included), are killed; every
+    child is reaped.  `what` names the indices in that RuntimeError.
     """
+    workers = max(1, min(_WORKERS, n // smallest))
     edges = [n * w // workers for w in range(workers + 1)]
     ranges = list(zip(edges, edges[1:]))
     if workers == 1 or not hasattr(os, "fork"):

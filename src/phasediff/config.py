@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .distributions import MIN_GAIN_EXPONENT
 from .params import AmplifierParams, CoherentInput
 from .sde import SdeConfig
 
@@ -48,7 +49,6 @@ _SDE = {
     "max_guard_trips": 0,
     "record_every": 10,
     "chunk_size": 4096,
-    "noise_thinning": 1,
 }
 _FOCK = {"cutoff_s": None, "tail_bound": 1e-10}
 _RUN = {"master_seed": None, "out": "results"}  # master_seed is required
@@ -104,29 +104,31 @@ def _list_of(v, item) -> bool:
     return isinstance(v, list) and len(v) > 0 and all(item(x) for x in v)
 
 
+_POSITIVE = (lambda v: _number(v) and v > 0, "a number > 0")
+_COUNT = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
+
 # field -> (predicate, description of a valid value); one entry per schema field
 _CHECKS = {
     "kappa_up": (_number, "a number"),
     "kappa_down": (_number, "a number"),
     "amplitude_sq": (_number, "a number"),
     "theta": (_number, "a number"),
-    "dt": (_number, "a number"),
-    "t_max": (lambda v: _number(v) and v > 0, "a number > 0"),
+    "dt": _POSITIVE,
+    "t_max": _POSITIVE,
     "t_min": (_number, "a number"),
-    "n_traj": (_integer, "an integer"),
-    "floor_epsilon": (_number, "a number"),
-    "max_guard_trips": (_integer, "an integer"),
-    "record_every": (_integer, "an integer"),
-    "chunk_size": (_integer, "an integer"),
-    "noise_thinning": (_integer, "an integer"),
-    "expansion_order": (lambda v: _integer(v) and v >= 1, "an integer >= 1"),
-    "n_time_points": (lambda v: _integer(v) and v >= 1, "an integer >= 1"),
+    "n_traj": _COUNT,
+    "floor_epsilon": _POSITIVE,
+    "max_guard_trips": (lambda v: _integer(v) and v >= 0, "an integer >= 0"),
+    "record_every": _COUNT,
+    "chunk_size": _COUNT,
+    "expansion_order": _COUNT,
+    "n_time_points": _COUNT,
     "n0_list": (lambda v: _list_of(v, lambda n: _number(n) and n > 0),
                 "a non-empty list of numbers > 0"),
     "nonideal_pairs": (lambda v: isinstance(v, list) and len(v) > 0,
                        "a non-empty list of [kappa_up, kappa_down] pairs"),
-    "input_grid_max": (lambda v: _number(v) and v > 0, "a number > 0"),
-    "input_grid_points": (lambda v: _integer(v) and v >= 1, "an integer >= 1"),
+    "input_grid_max": _POSITIVE,
+    "input_grid_points": _COUNT,
     "cutoff_s": (lambda v: v is None or _integer(v) and v >= 8,
                  "null (auto) or an integer >= 8"),
     "tail_bound": (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)"),
@@ -241,6 +243,12 @@ def validate_config(raw) -> ExperimentConfig:
         t_min = resolved.get("t_min")
         if t_min is not None and not 0 < t_min <= resolved["t_max"]:
             errors.append(("t_min", f"must satisfy 0 < t_min <= t_max, got {t_min!r}"))
+        elif params is not None and ("times" in resolved or t_min is not None):
+            # the phase densities need a gain above 1 at their earliest time (see eta)
+            key, t = ("times", resolved["times"][0]) if "times" in resolved else ("t_min", t_min)
+            if not params.kappa_minus * t > MIN_GAIN_EXPONENT:
+                errors.append((key, f"kappa_minus * t must exceed {MIN_GAIN_EXPONENT:g} "
+                                    f"(a gain above 1), got t = {t!r}"))
 
     if errors:
         raise ConfigError(errors)

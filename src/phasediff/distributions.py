@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 TOP_POPULATION_LIMIT = 1e-6
+MIN_GAIN_EXPONENT = 1e-12  # eta needs kappa_minus * t above this (a gain above 1)
 _MIN_CUTOFF = 48
 
 
@@ -72,7 +73,7 @@ def eta(params: AmplifierParams, amplitude_sq: float, t):
     """
     t = np.asarray(t, dtype=float)
     x = params.kappa_minus * t
-    if np.any(x <= 1e-12):
+    if np.any(x <= MIN_GAIN_EXPONENT):
         raise ValueError("gain must exceed 1 (t too small)")
     # G/(G-1) = 1/(1 - 1/G)
     return np.asarray(amplitude_sq, dtype=float) / (params.noise_ratio * -np.expm1(-x))

@@ -37,7 +37,6 @@ __all__ = [
     "mean_inverse",
     "chi_n",
     "phase_variance_expansion",
-    "TruncationDiagnostic",
     "truncation_diagnostic",
 ]
 
@@ -163,27 +162,22 @@ def phase_variance_expansion(params: AmplifierParams, input: CoherentInput, orde
     return _partial_sums(chi_n, params, input, order_k, t)
 
 
-@dataclass(frozen=True)
-class TruncationDiagnostic:
-    order_k: int
-    last_term_share: float
-    flagged: bool
-
-
-def truncation_diagnostic(orders) -> TruncationDiagnostic:
+def truncation_diagnostic(orders) -> dict:
     """Share of the order-K value carried by the last retained order.
 
     orders is the (K, ...) array of phase_variance_expansion or mean_inverse;
     its last two rows are the order-K and order-(K-1) values.  There is no
     a-priori rule for where the asymptotic series turns; as a heuristic the
     last term contributing more than 20% of the order-K value anywhere on the
-    grid is flagged.  K = 1 has nothing to compare against.
+    grid is flagged.  Returns the sidecar record {"order_k", "last_term_share",
+    "flagged"}; K = 1 has nothing to compare against, so its share is None
+    (JSON null).
     """
     orders = np.asarray(orders, dtype=float)
     order_k = len(orders)
     if order_k == 1:
-        return TruncationDiagnostic(order_k=1, last_term_share=float("nan"), flagged=False)
+        return {"order_k": 1, "last_term_share": None, "flagged": False}
     v_k, v_km1 = orders[-1], orders[-2]
     nonzero = v_k != 0
     share = float(np.max(np.abs(v_k - v_km1)[nonzero] / np.abs(v_k)[nonzero], initial=0.0))
-    return TruncationDiagnostic(order_k=order_k, last_term_share=share, flagged=share > 0.20)
+    return {"order_k": order_k, "last_term_share": share, "flagged": share > 0.20}

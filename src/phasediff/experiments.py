@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__ as _pkg_version
-from ._fork import run_ranges, usable_cpus
+from ._fork import run_ranges
 from .config import ExperimentConfig, experiment_registry
 from .distributions import (
     PhaseDensity,
@@ -43,8 +43,7 @@ __all__ = ["ResultBundle", "run_experiment", "list_experiments"]
 
 ABORT_FRACTION_LIMIT = 0.10
 
-_CSV_CELLS = 1 << 16      # fewest cells a CSV worker formats
-_WORKERS = usable_cpus()  # most CSV workers
+_CSV_CELLS = 1 << 16  # fewest cells a CSV worker formats
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,9 +70,9 @@ def _csv_body(header: list[str], columns: list[np.ndarray]) -> str:
             f"non-finite value {float(table[i, j])!r} in column {header[j]!r}, row {i}, "
             "reached the CSV writer")
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    # at least _CSV_CELLS cells per worker; at most one worker per usable CPU and per row
-    workers = max(1, min(_WORKERS, table.size // _CSV_CELLS, n))
-    parts = run_ranges(functools.partial(_format_rows, table, row), n, workers, what="rows")
+    # each worker's range holds at least _CSV_CELLS cells: ceil(_CSV_CELLS / columns) rows
+    parts = run_ranges(functools.partial(_format_rows, table, row), n,
+                       -(-_CSV_CELLS // len(columns)), what="rows")
     parts.insert(0, (",".join(header) + "\n").encode())
     body = b"".join(parts)
     del parts  # at most two copies of the text at once
@@ -95,13 +94,6 @@ def _check_aborts(ensemble, metadata):
             f"{n_aborted}/{ensemble.n_traj} trajectories tripped the positivity "
             "guard; the model is outside its validity for this configuration"
         )
-
-
-def _truncation_record(orders) -> dict:
-    diag = truncation_diagnostic(orders)
-    # K = 1 has no share (NaN), and JSON has no NaN
-    share = None if diag.order_k == 1 else diag.last_term_share
-    return {"order_k": diag.order_k, "last_term_share": share, "flagged": diag.flagged}
 
 
 def _run_number_fan(cfg: ExperimentConfig):
@@ -130,7 +122,7 @@ def _run_variance_compare(cfg: ExperimentConfig):
     k = cfg.resolved["expansion_order"]
     orders = phase_variance_expansion(cfg.params, cfg.input, k, t)
     v_sn = small_noise_phase_variance(cfg.params, cfg.input, t)
-    meta_extra["truncation_diagnostic"] = _truncation_record(orders)
+    meta_extra["truncation_diagnostic"] = truncation_diagnostic(orders)
     header = ["t", "sample_variance", "sample_variance_se",
               f"expansion_k{k}", "expansion_k1", "small_noise"]
     cols = [t, stats.variance, stats.se_variance, orders[-1], orders[0], v_sn]
@@ -181,7 +173,7 @@ def _run_inverse_expansion(cfg: ExperimentConfig):
     header = ["t", "mc_mean", "mc_se"]
     cols = [t, stats.mean, stats.se_mean]
     orders = mean_inverse(cfg.params, cfg.input, cfg.resolved["expansion_order"], t)
-    meta_extra["truncation_diagnostic"] = _truncation_record(orders)
+    meta_extra["truncation_diagnostic"] = truncation_diagnostic(orders)
     for k, row in enumerate(orders, start=1):
         header.append(f"expansion_k{k}")
         cols.append(row)

@@ -2,33 +2,32 @@
 
 Reproducibility contract: trajectory i draws its noise from
 numpy.random.default_rng(SeedSequence([master_seed, i])) (PCG64) as one
-stream of standard normals, two per sub-step (number noise, then phase
-noise), so a rerun with the same SdeConfig is bit-identical however the
-trajectories are batched, and both simulators see the same Brownian
-increments trajectory by trajectory.  Statistics are reduced over the
-trajectory axis in index order.
+stream of standard normals, two per step (number noise, then phase noise),
+each scaled by sqrt(dt), so a rerun with the same SdeConfig is bit-identical
+however the trajectories are batched, and both simulators see the same
+Brownian increments trajectory by trajectory.  Statistics are reduced over
+the trajectory axis in index order.
 
-Engine: the trajectories are split into contiguous ranges, one per worker
-(at most one per usable CPU, each at least _TILE trajectories wide).  A
-worker loops over its range up to chunk_size trajectories at a time, stepped
-together as one wide array through time blocks of _BLOCK_STEPS steps: it
-draws one block's increments, time-major, (steps, columns, trajectories), so
-a step reads contiguous rows, then steps through them (the inverse process
-keeps only the number-noise column).  A PCG64 stream read in blocks equals
-the stream read in one call, and the steppers evaluate each trajectory's
-update with the same floating-point operations whatever the batch width, so
-neither the ranges, nor the batching, nor the block length changes a sampled
-value.
+Engine: the trajectories are split into contiguous ranges, each at least
+_TILE trajectories wide, by phasediff._fork.run_ranges, which picks the
+number of ranges (at most one per usable CPU) and runs each in a forked
+child (one range, for one usable CPU or fewer than two tiles of
+trajectories, runs in the calling process).  A worker loops over its range
+up to chunk_size trajectories at a time, stepped together as one wide array
+through time blocks of _BLOCK_STEPS steps: it draws one block's increments,
+time-major, (steps, columns, trajectories), so a step reads contiguous rows,
+then steps through them (the inverse process keeps only the number-noise
+column).  A PCG64 stream read in blocks equals the stream read in one call,
+and the steppers evaluate each trajectory's update with the same
+floating-point operations whatever the batch width, so neither the ranges,
+nor the batching, nor the block length changes a sampled value.
 
-The ranges run through phasediff._fork.run_ranges: each worker is a forked
-child (one worker, for one usable CPU or fewer than two tiles of
-trajectories, runs in the calling process).  A child writes the recorded
-paths and guard counts in place, into anonymous shared memory mappings
-(_mapped) made before the fork, and sends its progress records to the
-parent.  Every engine array has a mapping of its own, so the memory a run
-holds does not depend on the malloc heap's history.  Progress goes to the
-"phasediff.sde" logger, from the calling process: one DEBUG record per
-stepped time block of each batch.
+A child writes the recorded paths and guard counts in place, into anonymous
+shared memory mappings (_mapped) made before the fork, and sends its
+progress records to the parent.  Every engine array has a mapping of its
+own, so the memory a run holds does not depend on the malloc heap's history.
+Progress goes to the "phasediff.sde" logger, from the calling process: one
+DEBUG record per stepped time block of each batch.
 
 The schemes are plain Euler-Maruyama (the equations are Ito equations; the
 weak order-1 accuracy is all the moment comparisons need — swapping in a
@@ -44,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fork import run_ranges, usable_cpus
+from ._fork import run_ranges
 from .errors import GuardTripError
 from .params import AmplifierParams, CoherentInput
 
@@ -76,10 +75,9 @@ class SdeConfig:
     most _BLOCK_STEPS x 2 x chunk_size doubles, and changes no sampled value.
     The engine picks its worker count itself (see the module docstring); no
     field sets it, and no worker count changes a sampled value either.
-    record_every only thins the stored grid.  noise_thinning draws each
-    increment as a sum of that many sub-draws, so a run at (dt, thinning 2)
-    shares its Brownian path with a run at (dt/2, thinning 1) — used for
-    step-refinement checks with common random numbers.
+    record_every only thins the stored grid.  Every step draws exactly two
+    normals per trajectory (number noise, then phase noise), each scaled by
+    sqrt(dt).
     """
 
     dt: float
@@ -90,7 +88,6 @@ class SdeConfig:
     max_guard_trips: int = 0
     record_every: int = 1
     chunk_size: int = 4096
-    noise_thinning: int = 1
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -107,7 +104,7 @@ class SdeConfig:
             raise ValueError("master_seed must fit in 64 bits")
         if not self.floor_epsilon > 0:
             raise ValueError("floor_epsilon must be > 0")
-        for name in ("max_guard_trips", "record_every", "chunk_size", "noise_thinning"):
+        for name in ("max_guard_trips", "record_every", "chunk_size"):
             v = getattr(self, name)
             if v != int(v) or (v < 0 if name == "max_guard_trips" else v < 1):
                 raise ValueError(f"{name} must be a {'non-negative' if name == 'max_guard_trips' else 'positive'} integer, got {v}")
@@ -133,7 +130,6 @@ class TrajectoryEnsemble:
     """
 
     times: np.ndarray
-    seeds: np.ndarray                      # (n_traj, 2) = (master_seed, index)
     guard_counts: np.ndarray               # clamp events per trajectory
     aborted: np.ndarray                    # guard_counts > max_guard_trips
     n_paths: np.ndarray | None = None
@@ -143,7 +139,7 @@ class TrajectoryEnsemble:
 
     @property
     def n_traj(self) -> int:
-        return self.seeds.shape[0]
+        return len(self.guard_counts)
 
     def variables(self) -> dict[str, np.ndarray]:
         out = {}
@@ -162,7 +158,6 @@ class TrajectoryEnsemble:
 # blocks cut the per-call overhead of the draw, but memory goes with them.
 _BLOCK_STEPS = 375                   # time steps per noise block
 _TILE = 32                           # trajectories per transpose tile (192 kB); the narrowest range
-_WORKERS = usable_cpus()             # most ranges an ensemble is split into
 
 _log = logging.getLogger("phasediff.sde")
 
@@ -188,7 +183,7 @@ def _progress(start: int, stop: int, k: int, n_steps: int) -> None:
 def _noise_blocks(config: SdeConfig, start: int, stop: int, report, columns: int):
     """Wiener increments of trajectories start..stop-1, one time block at a time.
 
-    Both normals of every sub-step are drawn, as the stream layout requires,
+    Both normals of every step are drawn, as the stream layout requires,
     but only the first `columns` (1: number noise; 2: number and phase noise)
     are scaled into the blocks.  Yields (b, columns, width) arrays, time-major,
     b <= _BLOCK_STEPS, all views of one buffer: a block is valid until the
@@ -196,14 +191,13 @@ def _noise_blocks(config: SdeConfig, start: int, stop: int, report, columns: int
     ending at step k, report(start, stop, k) is called.
     """
     width = stop - start
-    n_steps, thin = config.n_steps, config.noise_thinning
-    scale = np.sqrt(config.dt / thin)
+    n_steps = config.n_steps
+    scale = np.sqrt(config.dt)
     seed = int(config.master_seed)
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(start, stop)]
     b_max = min(_BLOCK_STEPS, n_steps)
     buffer = _mapped(b_max, columns, width)
     tile_buf = _mapped(_TILE, b_max, 2)
-    xi_buf = _mapped(b_max * thin, 2) if thin > 1 else None
     for k0 in range(0, n_steps, _BLOCK_STEPS):
         k1 = min(k0 + _BLOCK_STEPS, n_steps)
         b = k1 - k0
@@ -212,12 +206,7 @@ def _noise_blocks(config: SdeConfig, start: int, stop: int, report, columns: int
             t1 = min(t0 + _TILE, width)
             tile = tile_buf[: t1 - t0, :b]
             for j in range(t0, t1):
-                if thin == 1:
-                    rngs[j].standard_normal(out=tile[j - t0])
-                else:
-                    xi = xi_buf[: b * thin]
-                    rngs[j].standard_normal(out=xi)
-                    np.sum(xi.reshape(b, thin, 2), axis=1, out=tile[j - t0])
+                rngs[j].standard_normal(out=tile[j - t0])
             np.multiply(tile[:, :, :columns].transpose(1, 2, 0), scale, out=out[:, :, t0:t1])
         yield out
         report(start, stop, k1)
@@ -239,12 +228,9 @@ def _integrate(params, input, config, stepper, n_vars, noise_columns):
             stepper(params, input, config, blocks, rec_mask, [p[block] for p in paths],
                     guard_counts[block])
 
-    # ranges at least one tile wide, at most one per usable CPU
-    run_ranges(run_range, n, max(1, min(_WORKERS, n // _TILE)),
+    run_ranges(run_range, n, _TILE,
                lambda start, stop, k: _progress(start, stop, k, config.n_steps), "trajectories")
-    seeds = np.column_stack([np.full(n, config.master_seed, dtype=np.uint64), np.arange(n, dtype=np.uint64)])
-    aborted = guard_counts > config.max_guard_trips
-    return paths, guard_counts, aborted, ks * config.dt, seeds
+    return paths, guard_counts, guard_counts > config.max_guard_trips, ks * config.dt
 
 
 def _polar_stepper(params, input, config, blocks, rec_mask, chunk_paths, guard_counts):
@@ -311,11 +297,11 @@ def simulate_polar(params: AmplifierParams, input: CoherentInput, config: SdeCon
     dN = (kappa_up + kappa_minus N) dt + sqrt(2 kappa_up N) dV_N
     with independent increments, both evaluated at the step's start (Ito).
     """
-    paths, guard_counts, aborted, times, seeds = _integrate(
+    paths, guard_counts, aborted, times = _integrate(
         params, input, config, _polar_stepper, n_vars=2, noise_columns=2
     )
     return TrajectoryEnsemble(
-        times=times, seeds=seeds, guard_counts=guard_counts, aborted=aborted,
+        times=times, guard_counts=guard_counts, aborted=aborted,
         n_paths=paths[0], phi_paths=paths[1], config=config,
     )
 
@@ -325,18 +311,18 @@ def simulate_inverse(params: AmplifierParams, input: CoherentInput, config: SdeC
 
     dU = -(kappa_minus U - kappa_up U^2) dt - sqrt(2 kappa_up U^3) dV_N,
     U(0) = 1/|alpha|^2.  The stream layout matches simulate_polar (column 0 is
-    the number noise), so runs with equal seeds share Brownian paths with the
+    the number noise), so runs with one master_seed share Brownian paths with the
     mapped 1/N of the polar simulation.
     """
     if input.amplitude_sq <= 1.0:
         raise ValueError(
             f"amplitude_sq must exceed 1 for the reciprocal process, got {input.amplitude_sq}"
         )
-    paths, guard_counts, aborted, times, seeds = _integrate(
+    paths, guard_counts, aborted, times = _integrate(
         params, input, config, _inverse_stepper, n_vars=1, noise_columns=1
     )
     return TrajectoryEnsemble(
-        times=times, seeds=seeds, guard_counts=guard_counts, aborted=aborted,
+        times=times, guard_counts=guard_counts, aborted=aborted,
         upsilon_paths=paths[0], config=config,
     )
 

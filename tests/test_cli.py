@@ -59,6 +59,15 @@ def test_analytic_experiment_ignores_sde_limits(tmp_path, capsys):
         ("snr-input", '{"t_max": 1e400}', "t_max"),
         ("dist-converge", '{"theta": NaN}', "theta"),
         ("number-fan --t-max 2.05 --dt 0.1", "{}", "dt/t_max/n_traj"),
+        ("number-fan", '{"dt": -0.001}', "dt"),
+        ("number-fan", '{"n_traj": 0}', "n_traj"),
+        ("number-fan", '{"floor_epsilon": 0}', "floor_epsilon"),
+        ("number-fan", '{"max_guard_trips": -1}', "max_guard_trips"),
+        ("number-fan", '{"record_every": 0}', "record_every"),
+        ("number-fan", '{"chunk_size": 0}', "chunk_size"),
+        ("inverse-expansion", '{"chunk_size": 0, "record_every": 0}', "record_every,chunk_size"),
+        ("dist-converge", '{"times": [1e-13, 0.1]}', "times"),
+        ("variance-from-dist", '{"t_min": 1e-13}', "t_min"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, command, text, field):
@@ -68,7 +77,7 @@ def test_bad_config_exits_2(tmp_path, capsys, command, text, field):
     assert code == 2
     record = json.loads(err)
     assert record["error"] == "validation"
-    assert [d["field"] for d in record["details"]] == [field]
+    assert [d["field"] for d in record["details"]] == field.split(",")
 
 
 def test_sidecar_of_another_experiment_exits_2(tmp_path, capsys):

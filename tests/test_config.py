@@ -9,7 +9,7 @@ from phasediff import validate_config
 
 AMPLIFIER = ["kappa_up", "kappa_down"]
 SDE = ["dt", "t_max", "n_traj", "floor_epsilon", "max_guard_trips", "record_every",
-       "chunk_size", "noise_thinning"]
+       "chunk_size"]
 RUN = ["master_seed", "out"]
 
 SCHEMAS = {
@@ -46,7 +46,7 @@ def test_schema_holds_the_fields_the_experiment_reads(experiment):
 
 def test_schemas_cover_every_experiment():
     assert sorted(SCHEMAS) == sorted(SMALL) == sorted(list_experiments())
-    assert sum(len(fields) for fields in SCHEMAS.values()) == 77
+    assert sum(len(fields) for fields in SCHEMAS.values()) == 74
 
 
 def test_analytic_objects_built_only_from_their_fields():

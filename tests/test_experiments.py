@@ -11,15 +11,13 @@ import pytest
 
 from phasediff import GuardTripError, TrajectoryEnsemble, list_experiments, run_experiment
 from phasediff import validate_config
-from phasediff import experiments
+from phasediff import _fork, experiments
 from phasediff.experiments import _check_aborts, _csv_body
 
 
 def ensemble(aborted, guard_counts):
-    n = len(aborted)
     return TrajectoryEnsemble(
         times=np.linspace(0.0, 1.0, 3),
-        seeds=np.stack([np.full(n, 7), np.arange(n)], axis=1),
         guard_counts=np.asarray(guard_counts),
         aborted=np.asarray(aborted, dtype=bool),
     )
@@ -95,7 +93,7 @@ class TestForkedCsvWriter:
             return pid
 
         def set_workers(n):
-            monkeypatch.setattr(experiments, "_WORKERS", n)
+            monkeypatch.setattr(_fork, "_WORKERS", n)
             monkeypatch.setattr(experiments, "_CSV_CELLS", 1)
             monkeypatch.setattr(os, "fork", counting_fork)
             return pids

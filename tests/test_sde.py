@@ -9,7 +9,7 @@ import signal
 import numpy as np
 import pytest
 
-from phasediff import sde
+from phasediff import _fork, sde
 from phasediff import (
     AmplifierParams,
     CoherentInput,
@@ -35,18 +35,18 @@ def small_cfg(**kw):
     return SdeConfig(**base)
 
 
-def oracle_increments(config, indices):
-    """Each trajectory's whole stream in one draw, shape (len(indices), n_steps, 2)."""
-    thin = config.noise_thinning
+def oracle_increments(config, indices, thin=1):
+    """Each trajectory's whole stream in one draw, shape (len(indices), n_steps, 2).
+
+    With thin > 1 each increment sums `thin` consecutive draws, scaled by
+    sqrt(dt / thin): the Brownian path of the same stream at step dt / thin,
+    seen every thin-th step (common random numbers for step refinement).
+    """
     n_steps = config.n_steps
     out = np.empty((len(indices), n_steps, 2))
     for j, idx in enumerate(indices):
         rng = np.random.default_rng(np.random.SeedSequence([int(config.master_seed), int(idx)]))
-        xi = rng.standard_normal((n_steps * thin, 2))
-        if thin == 1:
-            out[j] = xi
-        else:
-            out[j] = xi.reshape(n_steps, thin, 2).sum(axis=1)
+        out[j] = rng.standard_normal((n_steps * thin, 2)).reshape(n_steps, thin, 2).sum(axis=1)
     out *= np.sqrt(config.dt / thin)
     return out
 
@@ -103,7 +103,7 @@ def oracle_inverse_stepper(params, input, config, dw, rec_mask, chunk_paths, gua
     guard_counts += trips
 
 
-def oracle_simulate(params, input, config, stepper, n_vars):
+def oracle_simulate(params, input, config, stepper, n_vars, thin=1):
     """Whole-stream noise and strided stepping in chunks of 512 trajectories."""
     ks = config.recorded_steps()
     rec_mask = np.zeros(config.n_steps + 1, dtype=bool)
@@ -113,7 +113,7 @@ def oracle_simulate(params, input, config, stepper, n_vars):
     guard_counts = np.zeros(n, dtype=np.int64)
     for start in range(0, n, 512):
         block = slice(start, min(start + 512, n))
-        dw = oracle_increments(config, np.arange(start, block.stop))
+        dw = oracle_increments(config, np.arange(start, block.stop), thin)
         stepper(params, input, config, dw, rec_mask,
                 [p[block] for p in paths], guard_counts[block])
     return paths, guard_counts
@@ -174,21 +174,20 @@ class TestEngineMatchesOracle:
     def set_workers(self, monkeypatch):
         """Sets the engine's worker count for the 12-trajectory config (up to 3)."""
         def set_workers(n):
-            monkeypatch.setattr(sde, "_WORKERS", n)
+            monkeypatch.setattr(_fork, "_WORKERS", n)
             monkeypatch.setattr(sde, "_TILE", 4)
         return set_workers
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
-    @pytest.mark.parametrize("thinning", [1, 3])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("block", [1, 5, 26])
     @pytest.mark.parametrize("chunk_size", [1, 7, None])
-    def test_bit_identical(self, monkeypatch, set_workers, engine, thinning, workers, block, chunk_size):
+    def test_bit_identical(self, monkeypatch, set_workers, engine, workers, block, chunk_size):
         simulate, stepper, fields, inp, floor = ENGINES[engine]
         set_workers(workers)
         monkeypatch.setattr(sde, "_BLOCK_STEPS", block)
         kw = {} if chunk_size is None else {"chunk_size": chunk_size}
-        cfg = self.config(noise_thinning=thinning, floor_epsilon=floor, **kw)
+        cfg = self.config(floor_epsilon=floor, **kw)
         assert block in (1, 5, cfg.n_steps + 3)
         ens = simulate(IDEAL_2, inp, cfg)
         paths, guard_counts = oracle_simulate(IDEAL_2, inp, cfg, stepper, len(fields))
@@ -349,10 +348,6 @@ class TestReproducibility:
         idx = np.isin(dense.times, thin.times)
         assert np.array_equal(dense.n_paths[:, idx], thin.n_paths)
 
-    def test_seed_labels(self):
-        ens = simulate_polar(IDEAL_1, CoherentInput(2.0), small_cfg(n_traj=5))
-        assert ens.seeds.tolist() == [[42, i] for i in range(5)]
-
     def test_polar_and_inverse_share_number_noise(self):
         # both simulators consume the same stream layout
         inp = CoherentInput(5.0)
@@ -408,15 +403,16 @@ class TestPolar:
 
 class TestWeakConvergence:
     def test_halving_dt_within_monte_carlo_error(self):
-        # common random numbers: (dt, thinning 2) and (dt/2, thinning 1)
-        # share the Brownian path, isolating the discretization difference
+        # common random numbers: the oracle at (dt, each increment the sum of
+        # two draws) and the engine at dt/2 share the Brownian path, isolating
+        # the discretization difference
         inp = CoherentInput(3.0)
         n = 10_000
-        coarse = simulate_polar(
-            IDEAL_1, inp,
-            SdeConfig(dt=2e-3, t_max=1.0, n_traj=n, master_seed=77,
-                      record_every=100, noise_thinning=2),
-        )
+        cfg = SdeConfig(dt=2e-3, t_max=1.0, n_traj=n, master_seed=77, record_every=100)
+        (n_paths, _), guard_counts = oracle_simulate(IDEAL_1, inp, cfg, oracle_polar_stepper,
+                                                     2, thin=2)
+        coarse = TrajectoryEnsemble(times=cfg.recorded_steps() * cfg.dt, guard_counts=guard_counts,
+                                    aborted=guard_counts > cfg.max_guard_trips, n_paths=n_paths)
         fine = simulate_polar(
             IDEAL_1, inp,
             SdeConfig(dt=1e-3, t_max=1.0, n_traj=n, master_seed=77, record_every=200),
@@ -504,7 +500,6 @@ class TestGuards:
     def test_stats_need_two_clean_trajectories(self):
         ens = TrajectoryEnsemble(
             times=np.array([0.0, 1.0]),
-            seeds=np.array([[0, 0], [0, 1]], dtype=np.uint64),
             guard_counts=np.array([3, 0]),
             aborted=np.array([True, False]),
             n_paths=np.array([[1.0, 1.0], [2.0, 2.0]]),
@@ -569,7 +564,6 @@ class TestEnsembleStats:
     def test_constant_paths_have_zero_variance(self):
         ens = TrajectoryEnsemble(
             times=np.array([0.0, 1.0, 2.0]),
-            seeds=np.zeros((4, 2), dtype=np.uint64),
             guard_counts=np.zeros(4, dtype=int),
             aborted=np.zeros(4, dtype=bool),
             phi_paths=np.full((4, 3), 1.3),

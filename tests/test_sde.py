@@ -179,16 +179,21 @@ class TestEngineMatchesOracle:
         return set_workers
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("refine", [1, 3])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("block", [1, 5, 26])
     @pytest.mark.parametrize("chunk_size", [1, 7, None])
-    def test_bit_identical(self, monkeypatch, set_workers, engine, workers, block, chunk_size):
+    def test_bit_identical(self, monkeypatch, set_workers, engine, refine, workers, block,
+                           chunk_size):
+        # refine = 3 steps the same span at dt / 3 (69 steps, recorded every
+        # 12th), so block 26 also cuts the stream into uneven blocks
         simulate, stepper, fields, inp, floor = ENGINES[engine]
         set_workers(workers)
         monkeypatch.setattr(sde, "_BLOCK_STEPS", block)
         kw = {} if chunk_size is None else {"chunk_size": chunk_size}
-        cfg = self.config(floor_epsilon=floor, **kw)
-        assert block in (1, 5, cfg.n_steps + 3)
+        cfg = self.config(dt=0.01 / refine, record_every=4 * refine, floor_epsilon=floor, **kw)
+        assert cfg.n_steps == 23 * refine
+        assert block in (1, 5, 23 + 3)
         ens = simulate(IDEAL_2, inp, cfg)
         paths, guard_counts = oracle_simulate(IDEAL_2, inp, cfg, stepper, len(fields))
         for name, want in zip(fields, paths):

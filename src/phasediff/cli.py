@@ -5,8 +5,12 @@ override config-file fields.  Every experiment subcommand takes the same
 flags, but each experiment accepts only the fields of its own schema: a flag
 for a field the experiment does not read (say --n-traj on snr-input) is a
 validation failure.  Exit codes: 0 success, 2 validation failure,
-3 numerical-guard failure; failures emit a machine-readable JSON record on
-stderr.
+3 numerical-guard failure.  A failure writes one JSON record to stderr and
+nothing else there: the warnings raised while validating and running go into
+the record's "warnings" list.  On success they are issued again, so the
+active warning filters decide what is shown.  The output directory is made
+before the run; one that cannot be made or written is a validation failure
+naming "out".
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .config import ConfigError, parse_document, validate_config
@@ -71,9 +76,25 @@ def _load_document(args) -> dict:
     return doc
 
 
-def _fail(record: dict, code: int) -> int:
-    print(json.dumps(record, indent=2, sort_keys=True), file=sys.stderr)
-    return code
+def _run(args) -> tuple[int, dict | None]:
+    """Exit code and, on failure, the JSON record for one validate or experiment command."""
+    if args.command == "validate":
+        try:
+            cfg = validate_config(_read_config(args.config))
+        except ConfigError as exc:
+            return EXIT_VALIDATION, exc.as_record()
+        print(json.dumps(cfg.resolved, indent=2, sort_keys=True))
+        return EXIT_OK, None
+
+    try:
+        bundle = run_experiment(validate_config(_load_document(args)))
+    except ConfigError as exc:
+        return EXIT_VALIDATION, exc.as_record()
+    except GuardTripError as exc:
+        return EXIT_GUARD, {"error": "numerical-guard", "message": str(exc)}
+    for path in bundle.written:
+        print(path)
+    return EXIT_OK, None
 
 
 def main(argv=None) -> int:
@@ -84,27 +105,18 @@ def main(argv=None) -> int:
             print(f"{name:20s} {desc}")
         return EXIT_OK
 
-    if args.command == "validate":
-        try:
-            cfg = validate_config(_read_config(args.config))
-        except ConfigError as exc:
-            return _fail(exc.as_record(), EXIT_VALIDATION)
-        print(json.dumps(cfg.resolved, indent=2, sort_keys=True))
-        return EXIT_OK
-
-    try:
-        doc = _load_document(args)
-        cfg = validate_config(doc)
-    except ConfigError as exc:
-        return _fail(exc.as_record(), EXIT_VALIDATION)
-
-    try:
-        bundle = run_experiment(cfg)
-    except GuardTripError as exc:
-        return _fail({"error": "numerical-guard", "message": str(exc)}, EXIT_GUARD)
-    for path in bundle.written:
-        print(path)
-    return EXIT_OK
+    with warnings.catch_warnings(record=True) as caught:
+        # once per location, as the default filter shows them; none raises here
+        warnings.simplefilter("default")
+        code, record = _run(args)
+    if record is not None:
+        if caught:
+            record["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
+        print(json.dumps(record, indent=2, sort_keys=True), file=sys.stderr)
+        return code
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    return code
 
 
 if __name__ == "__main__":

@@ -125,8 +125,9 @@ _CHECKS = {
     "n_time_points": _COUNT,
     "n0_list": (lambda v: _list_of(v, lambda n: _number(n) and n > 0),
                 "a non-empty list of numbers > 0"),
-    "nonideal_pairs": (lambda v: isinstance(v, list) and len(v) > 0,
-                       "a non-empty list of [kappa_up, kappa_down] pairs"),
+    "nonideal_pairs": (lambda v: _list_of(v, lambda p: isinstance(p, list)
+                                          and all(_number(x) for x in p)),
+                       "a non-empty list of [kappa_up, kappa_down] pairs of numbers"),
     "input_grid_max": _POSITIVE,
     "input_grid_points": _COUNT,
     "cutoff_s": (lambda v: v is None or _integer(v) and v >= 8,

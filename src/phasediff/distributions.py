@@ -35,6 +35,13 @@ band to unit trace.
 
 FockState stores that band, not the (s+1)^2 matrix, so it is Hermitian by
 construction, and the Pegg-Barnett density is one FFT of its offset sums.
+
+Importing this module does not import scipy.special: erf and gammaln are
+imported inside the functions that use them, so the package, its config
+validation and the experiments that need no phase density start without it.
+scipy.special loads on the first call that needs it (p_function_phase_density,
+evolve_density_series), in the calling process.  No forked worker
+(phasediff._fork) calls these functions, so a worker still imports nothing.
 """
 
 from __future__ import annotations
@@ -43,7 +50,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, gammaln
 
 from .errors import GuardTripError
 from .moments import gain
@@ -91,6 +97,8 @@ def p_function_phase_density(params: AmplifierParams, input: CoherentInput, t, p
     d = phi - theta.  Single peak at phi = theta, symmetric about it, uniform
     1/2pi in the eta -> 0 limit.
     """
+    from scipy.special import erf
+
     e = eta(params, input.amplitude_sq, t)
     d = np.asarray(phi, dtype=float) - input.theta
     c = np.cos(d)
@@ -199,6 +207,8 @@ def fock_cutoff(params: AmplifierParams, input: CoherentInput, t: float, tail: f
 
 def _band_kmax(input: CoherentInput, d: int, drop_below: float = 1e-17, margin: int = 8) -> int:
     """Offsets the truncated, renormalized coherent input populates above drop_below, plus margin."""
+    from scipy.special import gammaln
+
     n = np.arange(d)
     c = np.exp(-input.amplitude_sq / 2 + n * (np.log(input.amplitude_sq) / 2) - gammaln(n + 1) / 2)
     c /= np.sqrt((c**2).sum())
@@ -212,6 +222,8 @@ def _output_bands(
     params: AmplifierParams, input: CoherentInput, d: int, kmax: int, times: np.ndarray
 ) -> np.ndarray:
     """Untruncated output bands B[i, k, n] = rho[n+k, n](times[i]), zero past the cutoff."""
+    from scipy.special import gammaln
+
     t = times[:, None]
     nbar = params.noise_ratio * np.expm1(params.kappa_minus * t)
     beta_sq = gain(params, t) * input.amplitude_sq

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from ._fork import run_ranges
-from .config import ExperimentConfig, experiment_registry
+from .config import ConfigError, ExperimentConfig, experiment_registry
 from .distributions import (
     PhaseDensity,
     distribution_variance,
@@ -247,10 +247,23 @@ def list_experiments() -> dict[str, str]:
     return experiment_registry()
 
 
+def _out_error(cfg: ExperimentConfig, exc: OSError) -> ConfigError:
+    return ConfigError([("out", f"cannot write {exc.filename or cfg.out_dir}: "
+                                f"{exc.strerror or exc}")])
+
+
 def run_experiment(cfg: ExperimentConfig) -> ResultBundle:
-    """Run one registered experiment and write its CSVs + metadata sidecar."""
+    """Run one registered experiment and write its CSVs + metadata sidecar.
+
+    The out directory is made before the run; a ConfigError naming "out" is
+    raised when it cannot be made or written.
+    """
     import scipy
 
+    try:  # before the run, so that a run with nowhere to write fails at once
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _out_error(cfg, exc) from exc
     t0 = time.perf_counter()
     files, provenance, meta_extra = _RUNNERS[cfg.experiment](cfg)
     wall = time.perf_counter() - t0
@@ -270,14 +283,17 @@ def run_experiment(cfg: ExperimentConfig) -> ResultBundle:
     }
     metadata.update(meta_extra)
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, body in files.items():
-        path = cfg.out_dir / name
-        path.write_text(body)
-        written.append(str(path))
-    meta_path = cfg.out_dir / f"{cfg.experiment}.meta.json"
-    meta_path.write_text(json.dumps(metadata, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    try:
+        for name, body in files.items():
+            path = cfg.out_dir / name
+            path.write_text(body)
+            written.append(str(path))
+        meta_path = cfg.out_dir / f"{cfg.experiment}.meta.json"
+        meta_path.write_text(
+            json.dumps(metadata, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    except OSError as exc:
+        raise _out_error(cfg, exc) from exc
     written.append(str(meta_path))
     return ResultBundle(experiment=cfg.experiment, csv_files=files,
                         metadata=metadata, written=written)

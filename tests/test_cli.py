@@ -1,10 +1,15 @@
 """CLI exit codes: 0 success, 2 validation failure, 3 numerical guard; JSON records on stderr."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import phasediff
 from phasediff.cli import main
 
 
@@ -68,6 +73,9 @@ def test_analytic_experiment_ignores_sde_limits(tmp_path, capsys):
         ("inverse-expansion", '{"chunk_size": 0, "record_every": 0}', "record_every,chunk_size"),
         ("dist-converge", '{"times": [1e-13, 0.1]}', "times"),
         ("variance-from-dist", '{"t_min": 1e-13}', "t_min"),
+        ("snr-nonideal", '{"nonideal_pairs": [[Infinity, 0]]}', "nonideal_pairs"),
+        ("snr-nonideal", '{"nonideal_pairs": [[1e400, 0]]}', "nonideal_pairs"),
+        ("snr-nonideal", '{"nonideal_pairs": [[NaN, 0]]}', "nonideal_pairs"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, command, text, field):
@@ -117,3 +125,64 @@ def test_guard_trip_exits_3(tmp_path, capsys):
     record = json.loads(err)
     assert record["error"] == "numerical-guard"
     assert "top Fock level" in record["message"]
+
+
+def test_warnings_go_into_the_failure_record(tmp_path, capsys):
+    # the rates overflow the moments, a NaN reaches the CSV writer: stderr is one record
+    config = write(tmp_path, "cfg.json", '{"kappa_up": 1e308}')
+    code, _, err = run(capsys, "snr-input", "--config", config, "--seed", "1",
+                       "--out", str(tmp_path))
+    assert code == 3
+    record = json.loads(err)
+    assert record["error"] == "numerical-guard"
+    assert any("overflow" in w for w in record["warnings"])
+
+
+def test_warnings_are_issued_again_on_success(tmp_path, capsys):
+    config = write(tmp_path, "cfg.json", '{"t_min": 4.0, "n_time_points": 1}')
+    with pytest.warns(UserWarning, match="recentered window carries"):
+        code, _, _ = run(capsys, "variance-from-dist", "--config", config, "--seed", "1",
+                         "--out", str(tmp_path))
+    assert code == 0
+
+
+@pytest.mark.parametrize("blocker", ["file", "csv-name-taken"])
+def test_unwritable_out_exits_2(tmp_path, capsys, blocker):
+    if blocker == "file":  # the directory cannot be made
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+    else:  # the directory exists but a CSV cannot be written into it
+        (tmp_path / "snr-input.csv").mkdir()
+        out = tmp_path
+    code, _, err = run(capsys, "snr-input", "--seed", "1", "--out", str(out))
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "validation"
+    assert [d["field"] for d in record["details"]] == ["out"]
+    assert "directory" in record["details"][0]["message"]
+
+
+def test_cold_start_imports_scipy_special_only_for_phase_densities(tmp_path):
+    # a fresh interpreter, so that no other test has imported scipy.special already
+    script = textwrap.dedent("""
+        import json, sys
+        import phasediff, phasediff.cli
+        from phasediff.config import experiment_defaults, validate_config
+        for name in phasediff.list_experiments():
+            validate_config({**experiment_defaults(name), "master_seed": 1})
+        out = sys.argv[1]
+        assert phasediff.cli.main(["snr-input", "--seed", "1", "--out", out]) == 0
+        assert phasediff.cli.main(["number-fan", "--seed", "1", "--n-traj", "4",
+                                   "--out", out]) == 0
+        assert "scipy.special" not in sys.modules
+        with open(out + "/dist.json", "w") as f:
+            json.dump({"times": [0.5]}, f)
+        assert phasediff.cli.main(["dist-converge", "--config", out + "/dist.json",
+                                   "--seed", "1", "--out", out]) == 0
+        assert "scipy.special" in sys.modules
+    """)
+    src = str(Path(phasediff.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr

@@ -4,19 +4,22 @@ One subcommand per registered experiment, plus `validate` and `list`.  Flags
 override config-file fields.  Every experiment subcommand takes the same
 flags, but each experiment accepts only the fields of its own schema: a flag
 for a field the experiment does not read (say --n-traj on snr-input) is a
-validation failure.  Exit codes: 0 success, 2 validation failure,
-3 numerical-guard failure.  A failure writes one JSON record to stderr and
-nothing else there: the warnings raised while validating and running go into
-the record's "warnings" list.  On success they are issued again, so the
-active warning filters decide what is shown.  The output directory is made
-before the run; one that cannot be made or written is a validation failure
-naming "out".
+validation failure.  Exit codes: 0 success, 2 validation failure (a
+malformed command line too: an unknown flag, a value of the wrong type or a
+missing subcommand, with the flag as the record's field), 3 numerical-guard
+failure; -h prints help and exits 0.  A failure writes one JSON record to
+stderr and nothing else there: the warnings raised while validating and
+running go into the record's "warnings" list.  On success they are issued
+again, so the active warning filters decide what is shown.  The output
+directory is made before the run; one that cannot be made or written is a
+validation failure naming "out".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -30,8 +33,20 @@ EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are validation failures, not usage text."""
+
+    def error(self, message):
+        # argparse's three forms: "argument --seed: invalid int value: 'abc'",
+        # "unrecognized arguments: --bogus 3", "the following arguments are
+        # required: command"; the field is the flag or argument named first
+        named = (re.match(r"argument (\S+?):", message)
+                 or re.search(r"arguments(?: are required)?: ([^\s,]+)", message))
+        raise ConfigError([(named.group(1) if named else "<arguments>", message)])
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phasediff",
         description="Reproduce linear-amplifier phase-diffusion datasets as CSV.",
     )
@@ -97,8 +112,16 @@ def _run(args) -> tuple[int, dict | None]:
     return EXIT_OK, None
 
 
+def _fail(code: int, record: dict) -> int:
+    print(json.dumps(record, indent=2, sort_keys=True), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except ConfigError as exc:
+        return _fail(EXIT_VALIDATION, exc.as_record())
 
     if args.command == "list":
         for name, desc in list_experiments().items():
@@ -112,8 +135,7 @@ def main(argv=None) -> int:
     if record is not None:
         if caught:
             record["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
-        print(json.dumps(record, indent=2, sort_keys=True), file=sys.stderr)
-        return code
+        return _fail(code, record)
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
     return code

@@ -19,6 +19,12 @@ The series is asymptotic in practice: |beta_{k,n}| grows like [(n-1)!]^2, so
 beta is assembled from log magnitudes with sign tracking, and evaluations for
 n beyond ~10 lose significance to cancellation.  truncation_diagnostic reports
 when the last retained term is no longer small.
+
+The series is formal, too: for t > 0 the photon number N(t) has density
+e^-eta / nbar > 0 at N = 0, so E[1/N(t)] = infinity (and every higher
+inverse moment with it).  Each truncation is finite and is compared with
+Monte Carlo means conditional on no floor contact (phasediff.sde), not with
+an unconditional E[1/N(t)].
 """
 
 from __future__ import annotations

@@ -10,6 +10,15 @@ exactly.  A large table (at least _CSV_CELLS cells per worker) is formatted
 by forked workers, one contiguous range of rows each
 (phasediff._fork.run_ranges), into the same bytes the calling process would
 write.
+
+The Monte Carlo columns (sample_mean, sample_variance, mc_mean and their
+standard errors) are sample statistics conditional on no floor contact: the
+trajectories that touched the positivity floor are aborted and excluded, and
+the sidecar counts them (aborted_trajectories).  Unconditionally, E[1/N(t)]
+and the unwrapped phase variance are infinite for t > 0 (see phasediff.sde).
+variance-compare and inverse-expansion keep no path: their workers reduce the
+statistics (phasediff.sde); number-fan keeps only the photon-number paths it
+writes.
 """
 
 from __future__ import annotations
@@ -97,7 +106,7 @@ def _check_aborts(ensemble, metadata):
 
 
 def _run_number_fan(cfg: ExperimentConfig):
-    ens = simulate_polar(cfg.params, cfg.input, cfg.sde)
+    ens = simulate_polar(cfg.params, cfg.input, cfg.sde, store=("n",))
     meta_extra: dict = {}
     _check_aborts(ens, meta_extra)
     stats = ensemble_stats(ens, "n")["n"]
@@ -114,7 +123,7 @@ def _run_number_fan(cfg: ExperimentConfig):
 
 
 def _run_variance_compare(cfg: ExperimentConfig):
-    ens = simulate_polar(cfg.params, cfg.input, cfg.sde)
+    ens = simulate_polar(cfg.params, cfg.input, cfg.sde, store=(), reduce=("phi",))
     meta_extra: dict = {}
     _check_aborts(ens, meta_extra)
     stats = ensemble_stats(ens, "phi", se_variance=True)["phi"]
@@ -165,7 +174,7 @@ def _run_snr_nonideal(cfg: ExperimentConfig):
 
 
 def _run_inverse_expansion(cfg: ExperimentConfig):
-    ens = simulate_inverse(cfg.params, cfg.input, cfg.sde)
+    ens = simulate_inverse(cfg.params, cfg.input, cfg.sde, store=(), reduce=("upsilon",))
     meta_extra: dict = {}
     _check_aborts(ens, meta_extra)
     stats = ensemble_stats(ens, "upsilon")["upsilon"]

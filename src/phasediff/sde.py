@@ -5,27 +5,46 @@ numpy.random.default_rng(SeedSequence([master_seed, i])) (PCG64) as one
 stream of standard normals, two per step (number noise, then phase noise),
 each scaled by sqrt(dt), so a rerun with the same SdeConfig is bit-identical
 however the trajectories are batched, and both simulators see the same
-Brownian increments trajectory by trajectory.  Statistics are reduced over
-the trajectory axis in index order.
+Brownian increments trajectory by trajectory.
 
-Engine: the trajectories are split into contiguous ranges, each at least
-_TILE trajectories wide, by phasediff._fork.run_ranges, which picks the
-number of ranges (at most one per usable CPU) and runs each in a forked
-child (one range, for one usable CPU or fewer than two tiles of
-trajectories, runs in the calling process).  A worker loops over its range
-up to chunk_size trajectories at a time, stepped together as one wide array
-through time blocks of _BLOCK_STEPS steps: it draws one block's increments,
-time-major, (steps, columns, trajectories), so a step reads contiguous rows,
-then steps through them (the inverse process keeps only the number-noise
-column).  A PCG64 stream read in blocks equals the stream read in one call,
-and the steppers evaluate each trajectory's update with the same
-floating-point operations whatever the batch width, so neither the ranges,
-nor the batching, nor the block length changes a sampled value.
+Statistics: the trajectories fall into tiles of _TILE consecutive indices.
+Each tile's non-aborted rows are reduced to their count, mean and central
+sums M2, M3, M4 per recorded time, and the tiles are merged along a fixed
+binary tree over tile indices (node (level, i) covers tiles i 2^level ..
+(i + 1) 2^level - 1; Chan, Golub & LeVeque's update for the mean and M2,
+Pebay's for M3 and M4).  The statistics therefore depend on the paths alone:
+not on the worker count, chunk_size or the CPU count, nor on whether a
+worker reduced them while stepping or ensemble_stats reduced stored paths.
+They are sample statistics conditional on no floor contact: aborted
+trajectories are excluded, and a trajectory that touched the floor is not a
+sample of the unclamped process.  That is also what makes them finite.  N(t)
+has density e^-eta / nbar > 0 at N = 0 for t > 0, so E[1/N(t)] = infinity, and
+so is the unwrapped phase variance; only the floor and the abort rule keep
+the sample moments of 1/N and of the phase finite.
 
-A child writes the recorded paths and guard counts in place, into anonymous
-shared memory mappings (_mapped) made before the fork, and sends its
-progress records to the parent.  Every engine array has a mapping of its
-own, so the memory a run holds does not depend on the malloc heap's history.
+Engine: the tiles are split into contiguous ranges by
+phasediff._fork.run_ranges, which picks the number of ranges (at most one per
+usable CPU) and runs each in a forked child (one range, for one usable CPU or
+a single tile, runs in the calling process); no tile straddles two ranges.
+A worker loops over its range up to chunk_size trajectories at a time,
+stepped together as one wide array through time blocks of _BLOCK_STEPS
+steps: it draws one block's increments, time-major, (steps, columns,
+trajectories), so a step reads contiguous rows, then steps through them (the
+inverse process keeps only the number-noise column).  A PCG64 stream read in
+blocks equals the stream read in one call, and the steppers evaluate each
+trajectory's update with the same floating-point operations whatever the
+batch width, so neither the ranges, nor the batching, nor the block length
+changes a sampled value.
+
+The caller picks which variables' paths to store and which variables'
+statistics to reduce.  A stored path goes into an anonymous shared memory
+mapping (_mapped) made before the fork, which the child writes in place; a
+variable that is only reduced is recorded into the worker's own batch
+buffer, and the worker sends back the roots of the whole subtrees of tiles it
+finished (O(log n_traj) of them) as its result bytes, for the calling process
+to finish the tree.  So a run that stores no path holds no n_traj x
+recorded-times array anywhere.  Every engine array has a mapping of its own,
+so the memory a run holds does not depend on the malloc heap's history.
 Progress goes to the "phasediff.sde" logger, from the calling process: one
 DEBUG record per stepped time block of each batch.
 
@@ -40,6 +59,7 @@ import logging
 import math
 import mmap
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +93,11 @@ class SdeConfig:
     4096, so each worker's range of an ensemble up to that size is one
     batch); it bounds memory, since each worker holds one noise block of at
     most _BLOCK_STEPS x 2 x chunk_size doubles, and changes no sampled value.
+    When statistics are reduced, a batch is rounded up to whole tiles,
+    ceil(chunk_size / _TILE) of them, so that every tile is reduced from one
+    batch; a worker then also holds one recorded-times row per trajectory of
+    its batch for each variable it reduces but does not store.  Neither
+    changes a statistic.
     The engine picks its worker count itself (see the module docstring); no
     field sets it, and no worker count changes a sampled value either.
     record_every only thins the stored grid.  Every step draws exactly two
@@ -122,7 +147,11 @@ class SdeConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryEnsemble:
-    """Recorded paths plus per-trajectory provenance.
+    """Recorded paths and reduced statistics plus per-trajectory provenance.
+
+    A path field is None unless the simulation stored that variable; moments
+    maps each variable the simulation reduced to the root of its tile tree
+    (see the module docstring), which ensemble_stats reads.
 
     Phases are accumulated unwrapped (no modular reduction): the distribution
     stays single-peaked in this regime, and unwrapped accumulation is what the
@@ -136,6 +165,7 @@ class TrajectoryEnsemble:
     phi_paths: np.ndarray | None = None
     upsilon_paths: np.ndarray | None = None
     config: SdeConfig | None = field(default=None, repr=False)
+    moments: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_traj(self) -> int:
@@ -212,25 +242,157 @@ def _noise_blocks(config: SdeConfig, start: int, stop: int, report, columns: int
         report(start, stop, k1)
 
 
-def _integrate(params, input, config, stepper, n_vars, noise_columns):
+def _integrate(params, input, config, stepper, names, noise_columns, store, reduce):
+    """Run stepper over the ensemble; store and reduce name the variables wanted."""
+    for name in (*store, *reduce):
+        if name not in names:
+            raise ValueError(f"unknown variable {name!r}; this simulation records {names}")
     ks = config.recorded_steps()
     rec_mask = np.zeros(config.n_steps + 1, dtype=bool)
     rec_mask[ks] = True
-    n = config.n_traj
-    paths = [_mapped(n, len(ks)) for _ in range(n_vars)]
+    n, m = config.n_traj, len(ks)
+    n_tiles = -(-n // _TILE)
+    paths = {name: _mapped(n, m) for name in names if name in store}
     guard_counts = _mapped(n, dtype=np.int64)
+    reduced = [name for name in names if name in reduce]
+    batch = -(-config.chunk_size // _TILE) * _TILE if reduced else config.chunk_size
 
     def run_range(lo, hi, report):
-        for start in range(lo, hi, config.chunk_size):
-            stop = min(start + config.chunk_size, hi)
-            block = slice(start, stop)
+        lo, hi = lo * _TILE, min(hi * _TILE, n)
+        own = {name: _mapped(min(batch, hi - lo), m) for name in reduced if name not in paths}
+        trees = {name: {} for name in reduced}
+        for start in range(lo, hi, batch):
+            stop = min(start + batch, hi)
+            rows = slice(start, stop)
+            recorded = {name: p[rows] for name, p in paths.items()}
+            recorded.update((name, buf[:stop - start]) for name, buf in own.items())
             blocks = _noise_blocks(config, start, stop, report, noise_columns)
-            stepper(params, input, config, blocks, rec_mask, [p[block] for p in paths],
-                    guard_counts[block])
+            stepper(params, input, config, blocks, rec_mask,
+                    [recorded.get(name) for name in names], guard_counts[rows])
+            kept = guard_counts[rows] <= config.max_guard_trips
+            for name in reduced:
+                _reduce_rows(recorded[name], kept, start // _TILE, trees[name], n_tiles)
+        return _pack(trees, reduced, m) if reduced else None
 
-    run_ranges(run_range, n, _TILE,
-               lambda start, stop, k: _progress(start, stop, k, config.n_steps), "trajectories")
-    return paths, guard_counts, guard_counts > config.max_guard_trips, ks * config.dt
+    parts = run_ranges(run_range, n_tiles, 1,
+                       lambda start, stop, k: _progress(start, stop, k, config.n_steps),
+                       "trajectory tiles")
+    trees = {name: {} for name in reduced}
+    for part in parts:
+        if part is not None:
+            _unpack(part, trees, reduced, m, n_tiles)
+    return TrajectoryEnsemble(
+        times=ks * config.dt, guard_counts=guard_counts,
+        aborted=guard_counts > config.max_guard_trips, config=config,
+        moments={name: _root(tree) for name, tree in trees.items()},
+        **{f"{name}_paths": p for name, p in paths.items()},
+    )
+
+
+class _Moments(NamedTuple):
+    """Count, mean and central sums of powers 2, 3 and 4 of a set of rows, per time."""
+
+    count: int
+    mean: np.ndarray
+    m2: np.ndarray
+    m3: np.ndarray
+    m4: np.ndarray
+
+
+def _tile_moments(x: np.ndarray) -> _Moments | None:
+    """Moments of the rows of x (rows x times); None when there are none.
+
+    x is made C-contiguous first, so the column sums always run row by row
+    in index order, whatever array x was taken from.
+    """
+    k = len(x)
+    if not k:
+        return None
+    x = np.ascontiguousarray(x)
+    mean = x.sum(axis=0) / k
+    dev = x - mean
+    d2 = dev * dev
+    m2 = d2.sum(axis=0)
+    dev *= d2
+    m3 = dev.sum(axis=0)
+    d2 *= d2
+    return _Moments(k, mean, m2, m3, d2.sum(axis=0))
+
+
+def _merge(a: _Moments | None, b: _Moments | None) -> _Moments | None:
+    """Moments of the union of two disjoint row sets (Chan et al.; Pebay)."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    na, nb = a.count, b.count
+    n = na + nb
+    d = b.mean - a.mean
+    dn = d / n
+    dn2 = dn * dn
+    t = d * dn * (na * nb)  # d^2 na nb / n
+    return _Moments(
+        n,
+        a.mean + dn * nb,
+        a.m2 + b.m2 + t,
+        a.m3 + b.m3 + t * dn * (na - nb) + 3.0 * dn * (na * b.m2 - nb * a.m2),
+        a.m4 + b.m4 + t * dn2 * (na * na - na * nb + nb * nb)
+        + 6.0 * dn2 * (na * na * b.m2 + nb * nb * a.m2) + 4.0 * dn * (na * b.m3 - nb * a.m3),
+    )
+
+
+def _insert(tree: dict, level: int, i: int, node: _Moments | None, n_tiles: int) -> None:
+    """Add node (level, i) to tree, merging it upward while its sibling is held.
+
+    Node (level, i) covers tiles i 2^level .. (i + 1) 2^level - 1 (those
+    below n_tiles); a left node with no sibling below n_tiles moves up as it
+    is.  Each node's value depends only on its children's, so any order of
+    insertion leaves the same nodes; once every tile is in, one is left.
+    """
+    while (1 << level) < n_tiles:
+        if i % 2:
+            if (level, i - 1) not in tree:
+                break
+            node = _merge(tree.pop((level, i - 1)), node)
+        elif (i + 1) << level < n_tiles:
+            if (level, i + 1) not in tree:
+                break
+            node = _merge(node, tree.pop((level, i + 1)))
+        level, i = level + 1, i // 2
+    tree[level, i] = node
+
+
+def _reduce_rows(x: np.ndarray, kept: np.ndarray, first_tile: int, tree: dict,
+                 n_tiles: int) -> None:
+    """Insert the tiles of x (whole tiles from first_tile on) and their kept rows."""
+    for t0 in range(0, len(x), _TILE):
+        tile = slice(t0, t0 + _TILE)
+        _insert(tree, 0, first_tile + t0 // _TILE, _tile_moments(x[tile][kept[tile]]), n_tiles)
+
+
+def _root(tree: dict) -> _Moments | None:
+    (node,) = tree.values()
+    return node
+
+
+def _pack(trees: dict, names: list, m: int) -> bytes:
+    """The nodes of trees as float64 records (variable, level, i, count, moments)."""
+    records = []
+    for v, name in enumerate(names):
+        for (level, i), node in trees[name].items():
+            record = np.zeros(4 + 4 * m)
+            record[:4] = v, level, i, 0 if node is None else node.count
+            if node is not None:
+                record[4:].reshape(4, m)[:] = node[1:]
+            records.append(record.tobytes())
+    return b"".join(records)
+
+
+def _unpack(part, trees: dict, names: list, m: int, n_tiles: int) -> None:
+    for record in np.frombuffer(part).reshape(-1, 4 + 4 * m):
+        v, level, i, count = (int(x) for x in record[:4])
+        _insert(trees[names[v]], level, i,
+                _Moments(count, *record[4:].reshape(4, m)) if count else None, n_tiles)
 
 
 def _polar_stepper(params, input, config, blocks, rec_mask, chunk_paths, guard_counts):
@@ -241,8 +403,10 @@ def _polar_stepper(params, input, config, blocks, rec_mask, chunk_paths, guard_c
     phi_val = np.full(m, float(input.theta))
     n_store, phi_store = chunk_paths
     rec = 0
-    n_store[:, 0] = n_val
-    phi_store[:, 0] = phi_val
+    if n_store is not None:
+        n_store[:, 0] = n_val
+    if phi_store is not None:
+        phi_store[:, 0] = phi_val
     trips = np.zeros(m, dtype=np.int64)
     k = 0
     for dw in blocks:
@@ -256,8 +420,10 @@ def _polar_stepper(params, input, config, blocks, rec_mask, chunk_paths, guard_c
             k += 1
             if rec_mask[k]:
                 rec += 1
-                n_store[:, rec] = n_val
-                phi_store[:, rec] = phi_val
+                if n_store is not None:
+                    n_store[:, rec] = n_val
+                if phi_store is not None:
+                    phi_store[:, rec] = phi_val
     guard_counts += trips
 
 
@@ -269,7 +435,8 @@ def _inverse_stepper(params, input, config, blocks, rec_mask, chunk_paths, guard
     u_val = np.full(m, 1.0 / float(input.amplitude_sq))
     (u_store,) = chunk_paths
     rec = 0
-    u_store[:, 0] = u_val
+    if u_store is not None:
+        u_store[:, 0] = u_val
     trips = np.zeros(m, dtype=np.int64)
     k = 0
     for dw in blocks:
@@ -286,45 +453,42 @@ def _inverse_stepper(params, input, config, blocks, rec_mask, chunk_paths, guard
             k += 1
             if rec_mask[k]:
                 rec += 1
-                u_store[:, rec] = u_val
+                if u_store is not None:
+                    u_store[:, rec] = u_val
     guard_counts += trips
 
 
-def simulate_polar(params: AmplifierParams, input: CoherentInput, config: SdeConfig) -> TrajectoryEnsemble:
+def simulate_polar(params: AmplifierParams, input: CoherentInput, config: SdeConfig, *,
+                   store=("n", "phi"), reduce=()) -> TrajectoryEnsemble:
     """Integrate the coupled number/phase pair from the deterministic start.
 
     dPhi = sqrt(kappa_up / 2N) dV_phi and
     dN = (kappa_up + kappa_minus N) dt + sqrt(2 kappa_up N) dV_N
     with independent increments, both evaluated at the step's start (Ito).
+    store names the variables ("n", "phi") whose paths are kept, reduce
+    those whose statistics the workers reduce for ensemble_stats; a variable
+    named in neither is not recorded.
     """
-    paths, guard_counts, aborted, times = _integrate(
-        params, input, config, _polar_stepper, n_vars=2, noise_columns=2
-    )
-    return TrajectoryEnsemble(
-        times=times, guard_counts=guard_counts, aborted=aborted,
-        n_paths=paths[0], phi_paths=paths[1], config=config,
-    )
+    return _integrate(params, input, config, _polar_stepper, ("n", "phi"), 2, store, reduce)
 
 
-def simulate_inverse(params: AmplifierParams, input: CoherentInput, config: SdeConfig) -> TrajectoryEnsemble:
+def simulate_inverse(params: AmplifierParams, input: CoherentInput, config: SdeConfig, *,
+                     store=("upsilon",), reduce=()) -> TrajectoryEnsemble:
     """Integrate the reciprocal process U = 1/N directly.
 
     dU = -(kappa_minus U - kappa_up U^2) dt - sqrt(2 kappa_up U^3) dV_N,
     U(0) = 1/|alpha|^2.  The stream layout matches simulate_polar (column 0 is
     the number noise), so runs with one master_seed share Brownian paths with the
-    mapped 1/N of the polar simulation.
+    mapped 1/N of the polar simulation.  store and reduce name "upsilon" or
+    nothing, as in simulate_polar.  E[U(t)] = E[1/N(t)] is infinite for t > 0
+    (see the module docstring); the sample mean estimates it conditional on no
+    floor contact.
     """
     if input.amplitude_sq <= 1.0:
         raise ValueError(
             f"amplitude_sq must exceed 1 for the reciprocal process, got {input.amplitude_sq}"
         )
-    paths, guard_counts, aborted, times = _integrate(
-        params, input, config, _inverse_stepper, n_vars=1, noise_columns=1
-    )
-    return TrajectoryEnsemble(
-        times=times, guard_counts=guard_counts, aborted=aborted,
-        upsilon_paths=paths[0], config=config,
-    )
+    return _integrate(params, input, config, _inverse_stepper, ("upsilon",), 1, store, reduce)
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,18 +509,19 @@ def ensemble_stats(ensemble: TrajectoryEnsemble, *names: str,
                    se_variance: bool = False) -> dict[str, VariableStats]:
     """Mean/variance time series with standard errors for the named variables.
 
-    names picks among ensemble.variables() ("n", "phi", "upsilon"); none means
-    every recorded one.  The variance is the unbiased (ddof=1) estimator.  Its
-    standard error comes from the fourth central moment,
-    Var(s^2) ~= (m4 - s^4 (n-3)/(n-1)) / n with m4 = mean((dev^2)^2), and is
-    computed only when se_variance is set.  Aborted trajectories are excluded
-    (they sit outside the model's validity), which requires at least two clean
-    trajectories.  Each variable is reduced in place in one copy of its kept
-    paths, held in a mapping of its own (_mapped): dev, then dev^2, then
-    dev^4.
+    names picks among the variables the ensemble stored or reduced ("n",
+    "phi", "upsilon"); none means every one of them.  The variance is the
+    unbiased (ddof=1) estimator.  Its standard error comes from the fourth
+    central moment, Var(s^2) ~= (m4 - s^4 (n-3)/(n-1)) / n with m4 = M4 / n,
+    and is computed only when se_variance is set.  Aborted trajectories are
+    excluded (they sit outside the model's validity), which requires at least
+    two clean trajectories, so every statistic is conditional on no floor
+    contact.  A variable the workers reduced is read from ensemble.moments;
+    stored paths are reduced here by the same tiles and tree (see the module
+    docstring), one tile at a time, so both routes give the same bits.
     """
-    kept = np.flatnonzero(~ensemble.aborted)
-    n = len(kept)
+    kept = ~ensemble.aborted
+    n = int(np.count_nonzero(kept))
     if n < 2:
         raise GuardTripError(
             f"only {n} non-aborted trajectories of {ensemble.n_traj}; "
@@ -364,21 +529,18 @@ def ensemble_stats(ensemble: TrajectoryEnsemble, *names: str,
         )
     variables = ensemble.variables()
     out = {}
-    for name in names or variables:
-        paths = variables[name]
-        # mode="raise", and so np.compress, would stage `out` in a heap temporary
-        # as large as the copy; the indices are in range, so "clip" moves none
-        dev = np.take(paths, kept, axis=0, mode="clip",
-                      out=_mapped(n, *paths.shape[1:], dtype=paths.dtype))
-        mean = dev.mean(axis=0)
-        dev -= mean
-        var = np.square(dev, out=dev).sum(axis=0) / (n - 1)
-        m4 = np.square(dev, out=dev).mean(axis=0) if se_variance else None
+    for name in names or [*variables, *(v for v in ensemble.moments if v not in variables)]:
+        root = ensemble.moments.get(name)
+        if root is None:
+            tree = {}
+            _reduce_rows(variables[name], kept, 0, tree, -(-ensemble.n_traj // _TILE))
+            root = _root(tree)
+        var = root.m2 / (n - 1)
         out[name] = VariableStats(
-            mean=mean,
+            mean=root.mean,
             variance=var,
             se_mean=np.sqrt(var / n),
-            se_variance=(np.sqrt(np.maximum(m4 - var**2 * (n - 3) / (n - 1), 0.0) / n)
+            se_variance=(np.sqrt(np.maximum(root.m4 / n - var**2 * (n - 3) / (n - 1), 0.0) / n)
                          if se_variance else None),
             n_used=n,
         )

@@ -186,3 +186,25 @@ def test_cold_start_imports_scipy_special_only_for_phase_densities(tmp_path):
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["snr-input", "--seed", "abc"], "--seed"),
+    (["snr-input", "--bogus", "3"], "--bogus"),
+    ([], "command"),
+    (["validate"], "--config"),
+])
+def test_malformed_command_line_exits_2_with_a_record(capsys, argv, field):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"] == "validation"
+    assert [d["field"] for d in record["details"]] == [field]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert "usage: phasediff" in capsys.readouterr().out

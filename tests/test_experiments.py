@@ -175,3 +175,25 @@ def test_default_config_runs(tmp_path, experiment):
     assert bundle.csv_files
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [*bundle.csv_files, f"{experiment}.meta.json"])
+
+
+@pytest.mark.parametrize("experiment, simulator, stored, reduced", [
+    ("number-fan", "simulate_polar", ["n"], []),
+    ("variance-compare", "simulate_polar", [], ["phi"]),
+    ("inverse-expansion", "simulate_inverse", [], ["upsilon"]),
+])
+def test_sde_experiments_keep_only_what_they_write(tmp_path, monkeypatch, experiment, simulator,
+                                                   stored, reduced):
+    ensembles = []
+    real = getattr(experiments, simulator)
+
+    def keeping(*args, **kw):
+        ensembles.append(real(*args, **kw))
+        return ensembles[-1]
+
+    monkeypatch.setattr(experiments, simulator, keeping)
+    run_experiment(validate_config({"experiment": experiment, "master_seed": 1, "n_traj": 64,
+                                    "t_max": 1.0, "out": str(tmp_path)}))
+    (ens,) = ensembles
+    assert sorted(ens.variables()) == stored
+    assert sorted(ens.moments) == reduced

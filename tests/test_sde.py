@@ -203,6 +203,59 @@ class TestEngineMatchesOracle:
         assert ens.aborted.any() and not ens.aborted.all()
         assert np.array_equal(ens.times, cfg.recorded_steps() * cfg.dt)
 
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_statistics_independent_of_workers_and_batches(self, set_workers, engine):
+        # 40 trajectories in 10 tiles of 4: two workers finish uneven subtrees
+        # (tiles 0-3 and 4; 5, 6-7 and 8-9) that the calling process completes
+        simulate, _, fields, inp, floor = ENGINES[engine]
+        names = [f.removesuffix("_paths") for f in fields]
+        set_workers(1)
+        cfg = self.config(n_traj=40, floor_epsilon=floor)
+        stored = simulate(IDEAL_2, inp, cfg)
+        assert stored.aborted.any() and not stored.aborted.all()
+        want = ensemble_stats(stored, se_variance=True)
+        for workers in (1, 2, 3):
+            set_workers(workers)
+            for chunk_size in (7, 32, 4096):
+                ens = simulate(IDEAL_2, inp, self.config(n_traj=40, floor_epsilon=floor,
+                                                         chunk_size=chunk_size),
+                               store=(), reduce=names)
+                assert np.array_equal(ens.guard_counts, stored.guard_counts)
+                got = ensemble_stats(ens, se_variance=True)
+                for name in names:
+                    for field in ("mean", "variance", "se_mean", "se_variance"):
+                        assert np.array_equal(getattr(got[name], field),
+                                              getattr(want[name], field)), (workers, field)
+
+    @pytest.mark.parametrize("workers, chunk_size, largest", [(2, 4096, 0), (1, 5, 8)])
+    def test_statistics_only_run_maps_no_paths_in_the_caller(self, monkeypatch, set_workers,
+                                                              workers, chunk_size, largest):
+        # forked workers map their batches in the child; in-process, the batch
+        # buffer is chunk_size rounded up to whole tiles of 4, not n_traj
+        set_workers(workers)
+        shapes = []
+        real_mapped = sde._mapped
+
+        def recording_mapped(*shape, **kw):
+            shapes.append(shape)
+            return real_mapped(*shape, **kw)
+
+        monkeypatch.setattr(sde, "_mapped", recording_mapped)
+        cfg = self.config(n_traj=40, chunk_size=chunk_size)
+        ens = simulate_polar(IDEAL_2, CoherentInput(3.0), cfg, store=(), reduce=("phi",))
+        assert ens.n_paths is None and ens.phi_paths is None and ens.upsilon_paths is None
+        assert ens.variables() == {} and list(ens.moments) == ["phi"]
+        m = len(cfg.recorded_steps())
+        rows = [shape[0] for shape in shapes if shape[1:] == (m,)]
+        assert max(rows, default=0) == largest
+        assert (40,) in shapes  # the guard counts
+
+    def test_unknown_variable_is_refused(self):
+        with pytest.raises(ValueError, match="unknown variable 'upsilon'"):
+            simulate_polar(IDEAL_2, CoherentInput(3.0), self.config(), reduce=("upsilon",))
+        with pytest.raises(ValueError, match="unknown variable 'n'"):
+            simulate_inverse(IDEAL_2, CoherentInput(3.0), self.config(), store=("n",))
+
     def test_children_reaped_on_return(self, monkeypatch, set_workers):
         set_workers(3)
         forks = []
@@ -316,7 +369,7 @@ class TestEngineMatchesOracle:
         monkeypatch.setattr(sde, "_BLOCK_STEPS", 10)
         expected = {  # records of each worker's range, in order
             1: [["0-1", "2-3", "4-5", "6-7", "8-9", "10-11"]],
-            2: [["0-1", "2-3", "4-5"], ["6-7", "8-9", "10-11"]],
+            2: [["0-1", "2-3"], ["4-5", "6-7", "8-9", "10-11"]],  # whole tiles of 4
             3: [["0-1", "2-3"], ["4-5", "6-7"], ["8-9", "10-11"]],
         }
         for n_workers, ranges in expected.items():
@@ -537,34 +590,59 @@ def oracle_ensemble_stats(ensemble, fourth=lambda dev: (dev**2) ** 2):
 
 
 class TestEnsembleStats:
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_matches_oracle_bit_for_bit(self, engine):
-        simulate, _, _, inp, floor = ENGINES[engine]
+    @staticmethod
+    def aborting_ensemble(engine, **kw):
+        simulate, _, fields, inp, floor = ENGINES[engine]
         cfg = SdeConfig(dt=0.01, t_max=0.5, n_traj=300, master_seed=8, record_every=5,
                         floor_epsilon=floor)
-        ens = simulate(IDEAL_2, inp, cfg)
+        ens = simulate(IDEAL_2, inp, cfg, **kw)
         assert ens.aborted.any() and not ens.aborted.all()
+        return ens, [f.removesuffix("_paths") for f in fields]
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_stored_paths_match_worker_route_bit_for_bit(self, engine):
+        ens, names = self.aborting_ensemble(engine)
+        reduced, _ = self.aborting_ensemble(engine, store=(), reduce=names)
+        assert reduced.variables() == {} and sorted(reduced.moments) == sorted(names)
+        assert np.array_equal(reduced.guard_counts, ens.guard_counts)
         before = {name: paths.copy() for name, paths in ens.variables().items()}
-        n, want = oracle_ensemble_stats(ens)
-        for names in [(), *[(name,) for name in want]]:
+        for chosen in [(), *[(name,) for name in names]]:
             for with_se in (False, True):
-                got = ensemble_stats(ens, *names, se_variance=with_se)
-                assert sorted(got) == sorted(names or want)
+                got = ensemble_stats(ens, *chosen, se_variance=with_se)
+                want = ensemble_stats(reduced, *chosen, se_variance=with_se)
+                assert sorted(got) == sorted(want) == sorted(chosen or names)
                 for name, stats in got.items():
-                    assert stats.n_used == n
+                    assert stats.n_used == want[name].n_used == int((~ens.aborted).sum())
                     for field in ("mean", "variance", "se_mean"):
-                        assert np.array_equal(getattr(stats, field), want[name][field]), field
+                        assert np.array_equal(getattr(stats, field),
+                                              getattr(want[name], field)), field
                     if with_se:
-                        assert np.array_equal(stats.se_variance, want[name]["se_variance"])
+                        assert stats.se_variance is not None
+                        assert np.array_equal(stats.se_variance, want[name].se_variance)
                     else:
-                        assert stats.se_variance is None
+                        assert stats.se_variance is None and want[name].se_variance is None
         for name, paths in ens.variables().items():
             assert np.array_equal(paths, before[name])
-        # (dev^2)^2 in place of libm's dev**4 moves se_variance by rounding only
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_two_pass_oracle_agrees_within_rounding(self, engine):
+        # the tile/tree merge and the two-pass reduction round differently:
+        # within 5e-14 relative on rows with t > 0 (1.4e-15 seen here, 1.6e-14
+        # at 4000 paths); the t = 0 row is the exact start value, mean x0 and
+        # every spread 0, so each route's round-off of it is bounded absolutely
+        ens, _ = self.aborting_ensemble(engine)
+        _, want = oracle_ensemble_stats(ens)
         _, with_pow = oracle_ensemble_stats(ens, fourth=lambda dev: dev**4)
         for name, stats in ensemble_stats(ens, se_variance=True).items():
-            np.testing.assert_allclose(stats.se_variance, with_pow[name]["se_variance"],
-                                       rtol=1e-14, atol=0)
+            x0 = ens.variables()[name][0, 0]
+            for oracle in (want[name], with_pow[name]):
+                for field, zero_tol in [("mean", 4e-15), ("variance", 1e-29),
+                                        ("se_mean", 4e-16), ("se_variance", 1e-31)]:
+                    got, ref = getattr(stats, field), oracle[field]
+                    np.testing.assert_allclose(got[1:], ref[1:], rtol=5e-14, atol=0)
+                    exact = x0 if field == "mean" else 0.0
+                    assert abs(got[0] - exact) <= zero_tol, field
+                    assert abs(ref[0] - exact) <= zero_tol, field
 
     def test_constant_paths_have_zero_variance(self):
         ens = TrajectoryEnsemble(

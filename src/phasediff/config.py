@@ -48,7 +48,6 @@ _SDE = {
     "floor_epsilon": 1e-6,
     "max_guard_trips": 0,
     "record_every": 10,
-    "chunk_size": 4096,
 }
 _FOCK = {"cutoff_s": None, "tail_bound": 1e-10}
 _RUN = {"master_seed": None, "out": "results"}  # master_seed is required
@@ -120,7 +119,6 @@ _CHECKS = {
     "floor_epsilon": _POSITIVE,
     "max_guard_trips": (lambda v: _integer(v) and v >= 0, "an integer >= 0"),
     "record_every": _COUNT,
-    "chunk_size": _COUNT,
     "expansion_order": _COUNT,
     "n_time_points": _COUNT,
     "n0_list": (lambda v: _list_of(v, lambda n: _number(n) and n > 0),

@@ -13,7 +13,7 @@ sums M2, M3, M4 per recorded time, and the tiles are merged along a fixed
 binary tree over tile indices (node (level, i) covers tiles i 2^level ..
 (i + 1) 2^level - 1; Chan, Golub & LeVeque's update for the mean and M2,
 Pebay's for M3 and M4).  The statistics therefore depend on the paths alone:
-not on the worker count, chunk_size or the CPU count, nor on whether a
+not on the worker count, the batch width or the CPU count, nor on whether a
 worker reduced them while stepping or ensemble_stats reduced stored paths.
 They are sample statistics conditional on no floor contact: aborted
 trajectories are excluded, and a trajectory that touched the floor is not a
@@ -26,15 +26,15 @@ Engine: the tiles are split into contiguous ranges by
 phasediff._fork.run_ranges, which picks the number of ranges (at most one per
 usable CPU) and runs each in a forked child (one range, for one usable CPU or
 a single tile, runs in the calling process); no tile straddles two ranges.
-A worker loops over its range up to chunk_size trajectories at a time,
-stepped together as one wide array through time blocks of _BLOCK_STEPS
-steps: it draws one block's increments, time-major, (steps, columns,
-trajectories), so a step reads contiguous rows, then steps through them (the
-inverse process keeps only the number-noise column).  A PCG64 stream read in
-blocks equals the stream read in one call, and the steppers evaluate each
-trajectory's update with the same floating-point operations whatever the
-batch width, so neither the ranges, nor the batching, nor the block length
-changes a sampled value.
+A worker loops over its range one batch at a time, SdeConfig.chunk_size
+trajectories rounded up to whole tiles, stepped together as one wide array
+through time blocks of _BLOCK_STEPS steps: it draws one block's increments,
+time-major, (steps, columns, trajectories), so a step reads contiguous rows,
+then steps through them (the inverse process keeps only the number-noise
+column).  A PCG64 stream read in blocks equals the stream read in one call,
+and the steppers evaluate each trajectory's update with the same
+floating-point operations whatever the batch width, so neither the ranges,
+nor the batching, nor the block length changes a sampled value.
 
 The caller picks which variables' paths to store and which variables'
 statistics to reduce.  A stored path goes into an anonymous shared memory
@@ -59,7 +59,7 @@ import logging
 import math
 import mmap
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -89,15 +89,8 @@ class SdeConfig:
     path is an integrator overshoot into the region where 1/N moments diverge,
     and keeping it silently would bias every statistic built on the ensemble.
 
-    chunk_size is the number of trajectories a worker steps together (default
-    4096, so each worker's range of an ensemble up to that size is one
-    batch); it bounds memory, since each worker holds one noise block of at
-    most _BLOCK_STEPS x 2 x chunk_size doubles, and changes no sampled value.
-    When statistics are reduced, a batch is rounded up to whole tiles,
-    ceil(chunk_size / _TILE) of them, so that every tile is reduced from one
-    batch; a worker then also holds one recorded-times row per trajectory of
-    its batch for each variable it reduces but does not store.  Neither
-    changes a statistic.
+    chunk_size is the engine's batch width, a class constant no caller sets;
+    it bounds each worker's buffers and changes no sampled value.
     The engine picks its worker count itself (see the module docstring); no
     field sets it, and no worker count changes a sampled value either.
     record_every only thins the stored grid.  Every step draws exactly two
@@ -112,7 +105,7 @@ class SdeConfig:
     floor_epsilon: float = 1e-6
     max_guard_trips: int = 0
     record_every: int = 1
-    chunk_size: int = 4096
+    chunk_size: ClassVar[int] = 4096
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -120,6 +113,8 @@ class SdeConfig:
         if self.t_max < self.dt:
             raise ValueError(f"t_max must be >= dt, got {self.t_max}")
         steps = self.t_max / self.dt
+        if not steps < 2**53:  # from 2**53 on every double is whole: n_steps would be wrong
+            raise ValueError(f"t_max/dt must be below 2**53 steps, got {steps!r}")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(
                 f"t_max must be a whole number of steps dt, got t_max/dt = {steps!r}")
@@ -129,7 +124,7 @@ class SdeConfig:
             raise ValueError("master_seed must fit in 64 bits")
         if not self.floor_epsilon > 0:
             raise ValueError("floor_epsilon must be > 0")
-        for name in ("max_guard_trips", "record_every", "chunk_size"):
+        for name in ("max_guard_trips", "record_every"):
             v = getattr(self, name)
             if v != int(v) or (v < 0 if name == "max_guard_trips" else v < 1):
                 raise ValueError(f"{name} must be a {'non-negative' if name == 'max_guard_trips' else 'positive'} integer, got {v}")
@@ -255,7 +250,7 @@ def _integrate(params, input, config, stepper, names, noise_columns, store, redu
     paths = {name: _mapped(n, m) for name in names if name in store}
     guard_counts = _mapped(n, dtype=np.int64)
     reduced = [name for name in names if name in reduce]
-    batch = -(-config.chunk_size // _TILE) * _TILE if reduced else config.chunk_size
+    batch = -(-config.chunk_size // _TILE) * _TILE
 
     def run_range(lo, hi, report):
         lo, hi = lo * _TILE, min(hi * _TILE, n)
@@ -520,6 +515,11 @@ def ensemble_stats(ensemble: TrajectoryEnsemble, *names: str,
     stored paths are reduced here by the same tiles and tree (see the module
     docstring), one tile at a time, so both routes give the same bits.
     """
+    variables = ensemble.variables()
+    held = (*variables, *(v for v in ensemble.moments if v not in variables))
+    for name in names:
+        if name not in held:
+            raise ValueError(f"unknown variable {name!r}; this ensemble stored or reduced {held}")
     kept = ~ensemble.aborted
     n = int(np.count_nonzero(kept))
     if n < 2:
@@ -527,9 +527,8 @@ def ensemble_stats(ensemble: TrajectoryEnsemble, *names: str,
             f"only {n} non-aborted trajectories of {ensemble.n_traj}; "
             "statistics need at least 2"
         )
-    variables = ensemble.variables()
     out = {}
-    for name in names or [*variables, *(v for v in ensemble.moments if v not in variables)]:
+    for name in names or held:
         root = ensemble.moments.get(name)
         if root is None:
             tree = {}

@@ -64,13 +64,17 @@ def test_analytic_experiment_ignores_sde_limits(tmp_path, capsys):
         ("snr-input", '{"t_max": 1e400}', "t_max"),
         ("dist-converge", '{"theta": NaN}', "theta"),
         ("number-fan --t-max 2.05 --dt 0.1", "{}", "dt/t_max/n_traj"),
+        ("number-fan --dt 1e-300", "{}", "dt/t_max/n_traj"),  # 2e300 steps
+        ("number-fan --dt 5e-324", "{}", "dt/t_max/n_traj"),  # t_max/dt overflows
         ("number-fan", '{"dt": -0.001}', "dt"),
         ("number-fan", '{"n_traj": 0}', "n_traj"),
         ("number-fan", '{"floor_epsilon": 0}', "floor_epsilon"),
         ("number-fan", '{"max_guard_trips": -1}', "max_guard_trips"),
         ("number-fan", '{"record_every": 0}', "record_every"),
-        ("number-fan", '{"chunk_size": 0}', "chunk_size"),
-        ("inverse-expansion", '{"chunk_size": 0, "record_every": 0}', "record_every,chunk_size"),
+        ("number-fan", '{"chunk_size": 0}', "chunk_size"),  # an engine constant, not a field
+        ("number-fan", '{"config": {"chunk_size": 4096}}', "chunk_size"),  # an older sidecar
+        ("inverse-expansion", '{"record_every": 0, "floor_epsilon": 0}',
+         "floor_epsilon,record_every"),
         ("dist-converge", '{"times": [1e-13, 0.1]}', "times"),
         ("variance-from-dist", '{"t_min": 1e-13}', "t_min"),
         ("snr-nonideal", '{"nonideal_pairs": [[Infinity, 0]]}', "nonideal_pairs"),

@@ -8,6 +8,7 @@ import signal
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from phasediff import _fork, sde
 from phasediff import (
@@ -153,6 +154,14 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture
+def set_batch(monkeypatch):
+    """Sets the engine's batch width, SdeConfig.chunk_size (rounded up to whole tiles)."""
+    def set_batch(n):
+        monkeypatch.setattr(SdeConfig, "chunk_size", n)
+    return set_batch
+
+
 def owner(a):
     while isinstance(a, np.ndarray) and a.base is not None:
         a = a.base
@@ -182,16 +191,18 @@ class TestEngineMatchesOracle:
     @pytest.mark.parametrize("refine", [1, 3])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("block", [1, 5, 26])
-    @pytest.mark.parametrize("chunk_size", [1, 7, None])
-    def test_bit_identical(self, monkeypatch, set_workers, engine, refine, workers, block,
-                           chunk_size):
+    @pytest.mark.parametrize("batch", [1, 7, None])
+    def test_bit_identical(self, monkeypatch, set_workers, set_batch, engine, refine, workers,
+                           block, batch):
         # refine = 3 steps the same span at dt / 3 (69 steps, recorded every
-        # 12th), so block 26 also cuts the stream into uneven blocks
+        # 12th), so block 26 also cuts the stream into uneven blocks; batch 1
+        # and 7 step tiles of 4 one and two at a time, None keeps the default
         simulate, stepper, fields, inp, floor = ENGINES[engine]
         set_workers(workers)
+        if batch is not None:
+            set_batch(batch)
         monkeypatch.setattr(sde, "_BLOCK_STEPS", block)
-        kw = {} if chunk_size is None else {"chunk_size": chunk_size}
-        cfg = self.config(dt=0.01 / refine, record_every=4 * refine, floor_epsilon=floor, **kw)
+        cfg = self.config(dt=0.01 / refine, record_every=4 * refine, floor_epsilon=floor)
         assert cfg.n_steps == 23 * refine
         assert block in (1, 5, 23 + 3)
         ens = simulate(IDEAL_2, inp, cfg)
@@ -204,7 +215,8 @@ class TestEngineMatchesOracle:
         assert np.array_equal(ens.times, cfg.recorded_steps() * cfg.dt)
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_statistics_independent_of_workers_and_batches(self, set_workers, engine):
+    def test_statistics_independent_of_workers_and_batches(self, set_workers, set_batch,
+                                                            engine):
         # 40 trajectories in 10 tiles of 4: two workers finish uneven subtrees
         # (tiles 0-3 and 4; 5, 6-7 and 8-9) that the calling process completes
         simulate, _, fields, inp, floor = ENGINES[engine]
@@ -216,9 +228,9 @@ class TestEngineMatchesOracle:
         want = ensemble_stats(stored, se_variance=True)
         for workers in (1, 2, 3):
             set_workers(workers)
-            for chunk_size in (7, 32, 4096):
-                ens = simulate(IDEAL_2, inp, self.config(n_traj=40, floor_epsilon=floor,
-                                                         chunk_size=chunk_size),
+            for batch in (7, 32, 4096):
+                set_batch(batch)
+                ens = simulate(IDEAL_2, inp, self.config(n_traj=40, floor_epsilon=floor),
                                store=(), reduce=names)
                 assert np.array_equal(ens.guard_counts, stored.guard_counts)
                 got = ensemble_stats(ens, se_variance=True)
@@ -227,12 +239,14 @@ class TestEngineMatchesOracle:
                         assert np.array_equal(getattr(got[name], field),
                                               getattr(want[name], field)), (workers, field)
 
-    @pytest.mark.parametrize("workers, chunk_size, largest", [(2, 4096, 0), (1, 5, 8)])
+    @pytest.mark.parametrize("workers, batch, largest", [(2, 4096, 0), (1, 5, 8)])
     def test_statistics_only_run_maps_no_paths_in_the_caller(self, monkeypatch, set_workers,
-                                                              workers, chunk_size, largest):
+                                                              set_batch, workers, batch,
+                                                              largest):
         # forked workers map their batches in the child; in-process, the batch
-        # buffer is chunk_size rounded up to whole tiles of 4, not n_traj
+        # buffer is the batch width rounded up to whole tiles of 4, not n_traj
         set_workers(workers)
+        set_batch(batch)
         shapes = []
         real_mapped = sde._mapped
 
@@ -241,7 +255,7 @@ class TestEngineMatchesOracle:
             return real_mapped(*shape, **kw)
 
         monkeypatch.setattr(sde, "_mapped", recording_mapped)
-        cfg = self.config(n_traj=40, chunk_size=chunk_size)
+        cfg = self.config(n_traj=40)
         ens = simulate_polar(IDEAL_2, CoherentInput(3.0), cfg, store=(), reduce=("phi",))
         assert ens.n_paths is None and ens.phi_paths is None and ens.upsilon_paths is None
         assert ens.variables() == {} and list(ens.moments) == ["phi"]
@@ -255,6 +269,13 @@ class TestEngineMatchesOracle:
             simulate_polar(IDEAL_2, CoherentInput(3.0), self.config(), reduce=("upsilon",))
         with pytest.raises(ValueError, match="unknown variable 'n'"):
             simulate_inverse(IDEAL_2, CoherentInput(3.0), self.config(), store=("n",))
+        reduced = simulate_polar(IDEAL_2, CoherentInput(3.0), self.config(), store=(),
+                                 reduce=("phi",))
+        with pytest.raises(ValueError, match=r"unknown variable 'n'; .* \('phi',\)"):
+            ensemble_stats(reduced, "n")
+        polar = simulate_polar(IDEAL_2, CoherentInput(3.0), self.config())
+        with pytest.raises(ValueError, match=r"unknown variable 'upsilon'; .* \('n', 'phi'\)"):
+            ensemble_stats(polar, "upsilon")
 
     def test_children_reaped_on_return(self, monkeypatch, set_workers):
         set_workers(3)
@@ -365,20 +386,21 @@ class TestEngineMatchesOracle:
             assert np.array_equal(ens.aborted, guard_counts > cfg.max_guard_trips)
             np.testing.assert_allclose(ens.upsilon_paths, want, rtol=1e-12, atol=0)
 
-    def test_progress_logged_per_block(self, monkeypatch, caplog, set_workers):
+    def test_progress_logged_per_block(self, monkeypatch, caplog, set_workers, set_batch):
         monkeypatch.setattr(sde, "_BLOCK_STEPS", 10)
+        set_batch(2)  # rounded up to one tile of 4
         expected = {  # records of each worker's range, in order
-            1: [["0-1", "2-3", "4-5", "6-7", "8-9", "10-11"]],
-            2: [["0-1", "2-3"], ["4-5", "6-7", "8-9", "10-11"]],  # whole tiles of 4
-            3: [["0-1", "2-3"], ["4-5", "6-7"], ["8-9", "10-11"]],
+            1: [["0-3", "4-7", "8-11"]],
+            2: [["0-3"], ["4-7", "8-11"]],  # whole tiles of 4
+            3: [["0-3"], ["4-7"], ["8-11"]],
         }
         for n_workers, ranges in expected.items():
             set_workers(n_workers)
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="phasediff.sde"):
-                simulate_polar(IDEAL_2, CoherentInput(3.0), self.config(chunk_size=2))
+                simulate_polar(IDEAL_2, CoherentInput(3.0), self.config())
             got = [r.getMessage() for r in caplog.records if r.name == "phasediff.sde"]
-            assert len(got) == 6 * 3
+            assert len(got) == 3 * 3
             for batches in ranges:
                 want = [f"trajectories {b}: {k}/23 steps" for b in batches for k in (10, 20, 23)]
                 assert [m for m in got if m in want] == want
@@ -392,10 +414,12 @@ class TestReproducibility:
         assert np.array_equal(a.n_paths, b.n_paths)
         assert np.array_equal(a.phi_paths, b.phi_paths)
 
-    def test_chunking_does_not_change_paths(self):
+    def test_chunking_does_not_change_paths(self, set_batch):
         inp = CoherentInput(3.0)
-        a = simulate_polar(IDEAL_1, inp, small_cfg(chunk_size=1))
-        b = simulate_polar(IDEAL_1, inp, small_cfg(chunk_size=10_000))
+        set_batch(1)  # one tile of 32 per batch
+        a = simulate_polar(IDEAL_1, inp, small_cfg())
+        set_batch(10_000)
+        b = simulate_polar(IDEAL_1, inp, small_cfg())
         assert np.array_equal(a.n_paths, b.n_paths)
         assert np.array_equal(a.phi_paths, b.phi_paths)
 
@@ -435,6 +459,26 @@ class TestPolar:
         m2_se = (ens.n_paths[keep] ** 2).std(axis=0, ddof=1) / np.sqrt(keep.sum())
         m2 = photon_variance(IDEAL_2, CoherentInput(3.0), ens.times) + mean**2
         assert (np.abs(m2_mc - m2)[1:] / m2_se[1:]).max() < 3.0
+
+    def test_number_follows_the_exact_law(self):
+        """2N(t)/nbar is noncentral chi-square, 2 degrees of freedom, noncentrality 2 eta.
+
+        The pair is the polar form of the complex Ornstein-Uhlenbeck process, so
+        N(t) has the CIR transition law (Cox, Ingersoll & Ross, Econometrica 53,
+        385 (1985)) with nbar = r (G - 1) and eta = G n0 / nbar.  A KS test on the
+        non-aborted paths checks the law, not precision: an oracle with the gain
+        rate 5% too high still gave p = 0.05-0.15.  Seen here: no abort,
+        p = 0.79, 0.63, 0.23, 0.23; over seeds 1-5 the lowest was 0.041.
+        """
+        cfg = SdeConfig(dt=1e-3, t_max=1.0, n_traj=2000, master_seed=1, record_every=250)
+        n0 = 3.0
+        ens = simulate_polar(IDEAL_1, CoherentInput(n0), cfg, store=("n",))
+        kept = ~ens.aborted
+        for j, t in enumerate(ens.times[1:], start=1):
+            gain = np.exp(IDEAL_1.kappa_minus * t)
+            nbar = IDEAL_1.noise_ratio * (gain - 1.0)
+            law = scipy.stats.ncx2(df=2, nc=2.0 * gain * n0 / nbar)
+            assert scipy.stats.kstest(2.0 * ens.n_paths[kept, j] / nbar, law.cdf).pvalue > 0.01, t
 
     def test_phase_mean_constant(self):
         cfg = SdeConfig(dt=1e-3, t_max=3.0, n_traj=2000, master_seed=55, record_every=300)
@@ -686,6 +730,10 @@ class TestConfigValidation:
             SdeConfig(dt=0.1, t_max=1.0, n_traj=0, master_seed=0)
         with pytest.raises(ValueError):
             SdeConfig(dt=0.1, t_max=1.0, n_traj=1, master_seed=-1)
+
+    def test_batch_width_is_not_a_field(self):
+        with pytest.raises(TypeError, match="chunk_size"):
+            SdeConfig(dt=0.1, t_max=1.0, n_traj=1, master_seed=0, chunk_size=8)
 
     def test_final_step_always_recorded(self):
         cfg = SdeConfig(dt=1e-3, t_max=1.0, n_traj=1, master_seed=0, record_every=300)

@@ -36,16 +36,15 @@ band to unit trace.
 FockState stores that band, not the (s+1)^2 matrix, so it is Hermitian by
 construction, and the Pegg-Barnett density is one FFT of its offset sums.
 
-Importing this module does not import scipy.special: erf and gammaln are
-imported inside the functions that use them, so the package, its config
-validation and the experiments that need no phase density start without it.
-scipy.special loads on the first call that needs it (p_function_phase_density,
-evolve_density_series), in the calling process.  No forked worker
-(phasediff._fork) calls these functions, so a worker still imports nothing.
+No route through this module loads scipy.special: the log-factorials come
+from one table of math.lgamma values, built per call of evolve_density_series,
+and erf is math.erf applied point by point, so the phase densities cost no
+import beyond numpy's.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -97,8 +96,6 @@ def p_function_phase_density(params: AmplifierParams, input: CoherentInput, t, p
     d = phi - theta.  Single peak at phi = theta, symmetric about it, uniform
     1/2pi in the eta -> 0 limit.
     """
-    from scipy.special import erf
-
     e = eta(params, input.amplitude_sq, t)
     d = np.asarray(phi, dtype=float) - input.theta
     c = np.cos(d)
@@ -106,8 +103,13 @@ def p_function_phase_density(params: AmplifierParams, input: CoherentInput, t, p
         c / (2 * np.pi)
         * np.sqrt(np.pi * e)
         * np.exp(-e * np.sin(d) ** 2)
-        * (1.0 + erf(np.sqrt(e) * c))
+        * (1.0 + _erf(np.sqrt(e) * c))
     )
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """math.erf elementwise."""
+    return np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,12 +207,16 @@ def fock_cutoff(params: AmplifierParams, input: CoherentInput, t: float, tail: f
     return max(s_in, s_out, _MIN_CUTOFF)
 
 
-def _band_kmax(input: CoherentInput, d: int, drop_below: float = 1e-17, margin: int = 8) -> int:
-    """Offsets the truncated, renormalized coherent input populates above drop_below, plus margin."""
-    from scipy.special import gammaln
+def _log_factorials(m: int) -> np.ndarray:
+    """log j! for j = 0..m-1."""
+    return np.fromiter(map(math.lgamma, range(1, m + 1)), float, m)
 
+
+def _band_kmax(input: CoherentInput, log_fact: np.ndarray, d: int, drop_below: float = 1e-17,
+               margin: int = 8) -> int:
+    """Offsets the truncated, renormalized coherent input populates above drop_below, plus margin."""
     n = np.arange(d)
-    c = np.exp(-input.amplitude_sq / 2 + n * (np.log(input.amplitude_sq) / 2) - gammaln(n + 1) / 2)
+    c = np.exp(-input.amplitude_sq / 2 + n * (np.log(input.amplitude_sq) / 2) - log_fact[:d] / 2)
     c /= np.sqrt((c**2).sum())
     for k in range(d):
         if np.max(c[k:] * c[: d - k]) < drop_below:
@@ -218,12 +224,19 @@ def _band_kmax(input: CoherentInput, d: int, drop_below: float = 1e-17, margin: 
     return d - 1
 
 
-def _output_bands(
-    params: AmplifierParams, input: CoherentInput, d: int, kmax: int, times: np.ndarray
-) -> np.ndarray:
-    """Untruncated output bands B[i, k, n] = rho[n+k, n](times[i]), zero past the cutoff."""
-    from scipy.special import gammaln
+# recurrence steps whose coefficients are formed at once; forming them for every
+# n would hold two more (d, times, kmax + 1) arrays
+_RATIO_BLOCK = 64
 
+
+def _output_bands(params: AmplifierParams, input: CoherentInput, log_fact: np.ndarray, d: int,
+                  kmax: int, times: np.ndarray) -> np.ndarray:
+    """Untruncated output bands B[i, k, n] = rho[n+k, n](times[i]), zero past the cutoff.
+
+    log_fact[j] = log j! for j <= d - 1 + kmax.  The recurrence runs for all
+    times at once; the rest runs one time at a time, so its temporaries are
+    one time's (kmax + 1, d) arrays.
+    """
     t = times[:, None]
     nbar = params.noise_ratio * np.expm1(params.kappa_minus * t)
     beta_sq = gain(params, t) * input.amplitude_sq
@@ -231,25 +244,43 @@ def _output_bands(
     k = np.arange(kmax + 1)[None, :]
     # ratios M_n / M_(n-1) of M_n = nbar^n L_n^(k)(-y/nbar), from
     # (n+1) M_(n+1) = ((2n+1+k) nbar + y) M_n - (n+k) nbar^2 M_(n-1);
-    # M_n > 0 and it is the dominant solution, so the forward recurrence is stable
+    # M_n > 0 and it is the dominant solution, so the forward recurrence is stable;
+    # each step does the formula's floating-point operations in its order
     ratios = np.ones((d, len(times), kmax + 1))
     if d > 1:
         ratios[1] = (1 + k) * nbar + y
-    for n in range(1, d - 1):
-        ratios[n + 1] = ((2 * n + 1 + k) * nbar + y - (n + k) * nbar**2 / ratios[n]) / (n + 1)
-    log_m = np.cumsum(np.log(ratios), axis=0).transpose(1, 2, 0)
+    nbar_sq = nbar**2
+    step = np.empty_like(ratios[0])
+    for n0 in range(1, d - 1, _RATIO_BLOCK):
+        ns = np.arange(n0, min(n0 + _RATIO_BLOCK, d - 1))
+        firsts = (2 * ns[:, None, None] + 1 + k) * nbar + y
+        seconds = (ns[:, None, None] + k) * nbar_sq
+        for n, first, second in zip(ns.tolist(), firsts, seconds):
+            np.divide(second, ratios[n], out=step)
+            np.subtract(first, step, out=step)
+            np.divide(step, n + 1, out=ratios[n + 1])
 
     n = np.arange(d)
-    kk = k[..., None]
-    log_band = (
-        log_m
-        - (n + kk + 1) * np.log1p(nbar)[..., None]
-        + 0.5 * (gammaln(n + 1) - gammaln(n + kk + 1))
-        + kk * (0.5 * np.log(beta_sq))[..., None]
-        - y[..., None]
-    )
-    band = np.where(n + kk < d, np.exp(log_band), 0.0)
-    return band * np.exp(1j * kk * input.theta)
+    kk = k[0][:, None]
+    levels = n + kk + 1
+    log_fact_ratio = 0.5 * (log_fact[n] - log_fact[n + kk])
+    log1p_nbar = np.log1p(nbar)
+    half_log_beta_sq = 0.5 * np.log(beta_sq)
+    inside = n + kk < d
+    phase = np.exp(1j * kk * input.theta)
+    bands = np.empty((len(times), kmax + 1, d), dtype=complex)
+    for i in range(len(times)):
+        log_m = np.log(ratios[:, i])
+        np.cumsum(log_m, axis=0, out=log_m)
+        log_band = (
+            log_m.T
+            - levels * log1p_nbar[i]
+            + log_fact_ratio
+            + kk * half_log_beta_sq[i]
+            - y[i]
+        )
+        np.multiply(np.where(inside, np.exp(log_band), 0.0), phase, out=bands[i])
+    return bands
 
 
 def _check_band(band: np.ndarray, d: int, t: float, escaped: float):
@@ -277,17 +308,20 @@ def evolve_density_series(
 
     The population at or past the top level (cutoff_s) must stay below
     TOP_POPULATION_LIMIT and the band edge below 1e-10, else GuardTripError.
+    The states' bands are views of one (times, kmax + 1, cutoff_s + 1) array.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError("times must be nonnegative")
     d = int(cutoff_s) + 1
-    kmax = _band_kmax(input, d)
+    log_fact = _log_factorials(2 * d - 1)  # up to n + k = 2 (d - 1)
+    kmax = _band_kmax(input, log_fact, d)
     out = []
-    for t, band in zip(times, _output_bands(params, input, d, kmax, times)):
+    for t, band in zip(times, _output_bands(params, input, log_fact, d, kmax, times)):
         trace = band[0].real.sum()
         _check_band(band, d, t, 1.0 - trace)
-        out.append(FockState(cutoff_s=d - 1, band=band / trace))
+        band /= trace
+        out.append(FockState(cutoff_s=d - 1, band=band))
     return out
 
 

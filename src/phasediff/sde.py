@@ -58,6 +58,7 @@ from __future__ import annotations
 import logging
 import math
 import mmap
+import os
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
 
@@ -93,9 +94,10 @@ class SdeConfig:
     it bounds each worker's buffers and changes no sampled value.
     The engine picks its worker count itself (see the module docstring); no
     field sets it, and no worker count changes a sampled value either.
-    record_every only thins the stored grid.  Every step draws exactly two
-    normals per trajectory (number noise, then phase noise), each scaled by
-    sqrt(dt).
+    record_every only thins the stored grid.  A grid whose step mask, recorded
+    times and guard counts alone would not fit in physical memory is refused.
+    Every step draws exactly two normals per trajectory (number noise, then
+    phase noise), each scaled by sqrt(dt).
     """
 
     dt: float
@@ -128,6 +130,15 @@ class SdeConfig:
             v = getattr(self, name)
             if v != int(v) or (v < 0 if name == "max_guard_trips" else v < 1):
                 raise ValueError(f"{name} must be a {'non-negative' if name == 'max_guard_trips' else 'positive'} integer, got {v}")
+        # every run holds _integrate's step mask (a byte per step), the recorded
+        # grid and the guard counts (8 bytes per entry), whatever it stores
+        need = self.n_steps + 1 + 8 * (-(-self.n_steps // self.record_every) + 1 + self.n_traj)
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ValueError(
+                f"t_max/dt = {steps:.4g} steps and {self.n_traj} trajectories need {need:.3g} "
+                f"bytes for the step mask, recorded grid and guard counts, more than the "
+                f"{have:.3g} bytes of physical memory")
 
     @property
     def n_steps(self) -> int:

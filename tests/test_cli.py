@@ -66,6 +66,7 @@ def test_analytic_experiment_ignores_sde_limits(tmp_path, capsys):
         ("number-fan --t-max 2.05 --dt 0.1", "{}", "dt/t_max/n_traj"),
         ("number-fan --dt 1e-300", "{}", "dt/t_max/n_traj"),  # 2e300 steps
         ("number-fan --dt 5e-324", "{}", "dt/t_max/n_traj"),  # t_max/dt overflows
+        ("number-fan --dt 1e-15", "{}", "dt/t_max/n_traj"),  # a 2e15-byte step mask
         ("number-fan", '{"dt": -0.001}', "dt"),
         ("number-fan", '{"n_traj": 0}', "n_traj"),
         ("number-fan", '{"floor_epsilon": 0}', "floor_epsilon"),
@@ -167,7 +168,9 @@ def test_unwritable_out_exits_2(tmp_path, capsys, blocker):
 
 
 def test_cold_start_imports_scipy_special_only_for_phase_densities(tmp_path):
-    # a fresh interpreter, so that no other test has imported scipy.special already
+    # a fresh interpreter, so that no other test has imported scipy.special
+    # already; every experiment runs, the phase densities included, and none
+    # loads it (the package takes erf and the log-factorials from math)
     script = textwrap.dedent("""
         import json, sys
         import phasediff, phasediff.cli
@@ -175,15 +178,22 @@ def test_cold_start_imports_scipy_special_only_for_phase_densities(tmp_path):
         for name in phasediff.list_experiments():
             validate_config({**experiment_defaults(name), "master_seed": 1})
         out = sys.argv[1]
-        assert phasediff.cli.main(["snr-input", "--seed", "1", "--out", out]) == 0
-        assert phasediff.cli.main(["number-fan", "--seed", "1", "--n-traj", "4",
-                                   "--out", out]) == 0
+        tiny = {
+            "number-fan": {"n_traj": 4},
+            "variance-compare": {"n_traj": 8, "t_max": 0.5},
+            "snr-input": {},
+            "snr-nonideal": {},
+            "inverse-expansion": {"n_traj": 8, "t_max": 0.5},
+            "dist-converge": {"times": [0.5]},
+            "variance-from-dist": {"t_max": 0.5, "n_time_points": 2},
+        }
+        assert sorted(tiny) == sorted(phasediff.list_experiments())
+        for name, fields in tiny.items():
+            with open(f"{out}/{name}.json", "w") as f:
+                json.dump(fields, f)
+            assert phasediff.cli.main([name, "--config", f"{out}/{name}.json",
+                                       "--seed", "1", "--out", out]) == 0, name
         assert "scipy.special" not in sys.modules
-        with open(out + "/dist.json", "w") as f:
-            json.dump({"times": [0.5]}, f)
-        assert phasediff.cli.main(["dist-converge", "--config", out + "/dist.json",
-                                   "--seed", "1", "--out", out]) == 0
-        assert "scipy.special" in sys.modules
     """)
     src = str(Path(phasediff.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import erf, gammaln
 
 from phasediff import (
     AmplifierParams,
@@ -17,7 +17,7 @@ from phasediff import (
     pegg_barnett_distribution,
     photon_variance,
 )
-from phasediff.distributions import _check_band
+from phasediff.distributions import _check_band, _erf, _log_factorials
 
 IDEAL_1 = AmplifierParams(1.0, 0.0)
 LOSSY = AmplifierParams(1.0, 0.3)
@@ -345,3 +345,24 @@ class TestPhaseDensities:
             assert dev < previous
             previous = dev
         assert previous < 1e-4
+
+
+def ulps(a, b):
+    """|a - b| in units in the last place of the larger magnitude."""
+    return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+
+
+class TestScipyFreeHelpers:
+    """math.lgamma and math.erf, as the package uses them, against scipy.special."""
+
+    def test_log_factorials_match_gammaln(self):
+        # j up to 4,999 covers n + k <= 2 cutoff_s at cutoffs to 2,499; seen: at most 4 ulp
+        log_fact = _log_factorials(5000)
+        assert log_fact[0] == log_fact[1] == 0.0
+        assert ulps(log_fact, gammaln(np.arange(5000) + 1.0)).max() <= 4
+
+    def test_erf_matches_scipy(self):
+        x = np.linspace(-8.0, 8.0, 200_001)  # seen: at most 3 ulp
+        assert ulps(_erf(x), erf(x)).max() <= 4
+        assert _erf(x[:6].reshape(2, 3)).shape == (2, 3)
+        assert _erf(np.asarray(0.5)).shape == ()

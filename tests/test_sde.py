@@ -20,6 +20,7 @@ from phasediff import (
     ensemble_stats,
     mean_inverse,
     mean_photon,
+    p_function_phase_density,
     photon_variance,
     simulate_inverse,
     simulate_polar,
@@ -480,6 +481,32 @@ class TestPolar:
             law = scipy.stats.ncx2(df=2, nc=2.0 * gain * n0 / nbar)
             assert scipy.stats.kstest(2.0 * ens.n_paths[kept, j] / nbar, law.cdf).pvalue > 0.01, t
 
+    def test_wrapped_phase_variance_is_the_p_function_variance(self):
+        """Phi(t) wrapped into [theta - pi, theta + pi) has the P-function density.
+
+        variance-compare physics (ideal, n0 = 2.25, theta = pi) with aborts
+        off: the wrapped phase is finite whatever the floor does, unlike the
+        unwrapped one.  4,000 paths, seed 1; the oracle is a 200,001-point
+        trapezoid of the density.  Seen here: z = -0.99 and -0.30; over seeds
+        1-5 at most 2.8.  Phase noise sqrt(kappa_up / N) in place of
+        sqrt(kappa_up / 2N) gives z = 15-18.
+        """
+        inp = CoherentInput(2.25, np.pi)
+        cfg = SdeConfig(dt=1e-3, t_max=3.0, n_traj=4000, master_seed=1, record_every=1000,
+                        max_guard_trips=2**62)
+        ens = simulate_polar(IDEAL_1, inp, cfg, store=("phi",))
+        n = cfg.n_traj
+        for j, t in ((1, 1.0), (3, 3.0)):
+            assert ens.times[j] == pytest.approx(t)
+            dev = np.mod(ens.phi_paths[:, j] - inp.theta + np.pi, 2 * np.pi)
+            dev -= dev.mean()
+            var = (dev**2).sum() / (n - 1)
+            se = np.sqrt(((dev**4).mean() - var**2 * (n - 3) / (n - 1)) / n)
+            phi = inp.theta + np.linspace(-np.pi, np.pi, 200_001)
+            density = p_function_phase_density(IDEAL_1, inp, t, phi)
+            exact = np.trapezoid((phi - inp.theta) ** 2 * density, phi)
+            assert abs(var - exact) < 4 * se, (t, var, exact, se)
+
     def test_phase_mean_constant(self):
         cfg = SdeConfig(dt=1e-3, t_max=3.0, n_traj=2000, master_seed=55, record_every=300)
         ens = simulate_polar(IDEAL_1, CoherentInput(2.25, np.pi), cfg)
@@ -730,6 +757,11 @@ class TestConfigValidation:
             SdeConfig(dt=0.1, t_max=1.0, n_traj=0, master_seed=0)
         with pytest.raises(ValueError):
             SdeConfig(dt=0.1, t_max=1.0, n_traj=1, master_seed=-1)
+        # refused from the sizes alone, before anything is allocated
+        with pytest.raises(ValueError, match="physical memory"):  # a 2e15-byte step mask
+            SdeConfig(dt=1e-15, t_max=2.0, n_traj=1, master_seed=0)
+        with pytest.raises(ValueError, match="physical memory"):  # 2**63 bytes of guard counts
+            SdeConfig(dt=0.1, t_max=1.0, n_traj=2**60, master_seed=0)
 
     def test_batch_width_is_not_a_field(self):
         with pytest.raises(TypeError, match="chunk_size"):

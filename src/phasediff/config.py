@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .distributions import MIN_GAIN_EXPONENT
 from .params import AmplifierParams, CoherentInput
-from .sde import SdeConfig
+from .sde import SdeConfig, _physical_memory
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_document", "validate_config",
            "experiment_defaults"]
@@ -228,6 +228,12 @@ def validate_config(raw) -> ExperimentConfig:
             except ValueError as exc:
                 errors.append(("dt/t_max/n_traj", str(exc)))
 
+        if sde is not None and experiment == "number-fan":  # the one that stores paths
+            need, have = 8 * sde.n_traj * sde.n_recorded, _physical_memory()
+            if need > have:
+                errors.append(("n_traj", f"{sde.n_traj} stored paths of {sde.n_recorded} times "
+                                         f"need {need:.3g} bytes, more than the {have:.3g} "
+                                         "bytes of physical memory"))
         if "expansion_order" in resolved and resolved["amplitude_sq"] <= 1.0:
             errors.append((
                 "amplitude_sq",

@@ -212,15 +212,19 @@ def _log_factorials(m: int) -> np.ndarray:
     return np.fromiter(map(math.lgamma, range(1, m + 1)), float, m)
 
 
-def _band_kmax(input: CoherentInput, log_fact: np.ndarray, d: int, drop_below: float = 1e-17,
-               margin: int = 8) -> int:
-    """Offsets the truncated, renormalized coherent input populates above drop_below, plus margin."""
+_BAND_DROP_BELOW = 1e-17  # the smallest input coherence whose offset the band keeps
+_BAND_MARGIN = 8          # offsets kept beyond those, for the evolution to spread into
+
+
+def _band_kmax(input: CoherentInput, log_fact: np.ndarray, d: int) -> int:
+    """Offsets the truncated, renormalized coherent input populates above
+    _BAND_DROP_BELOW, plus _BAND_MARGIN."""
     n = np.arange(d)
     c = np.exp(-input.amplitude_sq / 2 + n * (np.log(input.amplitude_sq) / 2) - log_fact[:d] / 2)
     c /= np.sqrt((c**2).sum())
     for k in range(d):
-        if np.max(c[k:] * c[: d - k]) < drop_below:
-            return min(k + margin, d - 1)
+        if np.max(c[k:] * c[: d - k]) < _BAND_DROP_BELOW:
+            return min(k + _BAND_MARGIN, d - 1)
     return d - 1
 
 

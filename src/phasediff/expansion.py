@@ -4,168 +4,81 @@ The moments Y_n = E[1/N^n(t)] obey the one-way hierarchy
 
     dY_n/dt = b_n Y_n + c_n Y_{n+1},   b_n = -n kappa_minus,  c_n = n^2 kappa_up.
 
-Truncating at order K and solving gives E[1/N(t)] = sum_n g_n(t) E[1/N^n(0)]
-with g_n(t) = sum_{k<=n} beta_{k,n} exp(b_k t).  The coefficients come from
-their closed form; the tests cross-check them against two independent routes
-(eigendecomposition of the bidiagonal hierarchy matrix, iterated integrals for
-n <= 3).  Integrating kappa_up/2 * g_n produces the phase-variance weights
-chi_n(t).
+Truncated at order K, it gives E[1/N(t)] = sum_n g_n(t) E[1/N^n(0)] with
+g_n(t) = sum_k beta_{k,n} exp(b_k t), beta_{k,n} = c_1 ... c_{n-1} /
+prod_{j != k} (b_k - b_j).  As b_k - b_j = (j - k) kappa_minus, the sum over k
+is binomial, so g_n and the phase-variance weight chi_n = (kappa_up/2) *
+integral_0^t g_n have closed forms (r = kappa_up/kappa_minus, G = G_t):
 
-beta_{k,n} does not depend on K, so the order-k truncation is a prefix of the
-order-K sum: mean_inverse and phase_variance_expansion build one table and
-return every order 1..K at once, as the cumulative sum of the per-order terms.
+    g_n = (n-1)! r^(n-1) G^-1 (1 - 1/G)^(n-1),   chi_n = (n-1)!/(2n) (r (1 - 1/G))^n.
 
-The series is asymptotic in practice: |beta_{k,n}| grows like [(n-1)!]^2, so
-beta is assembled from log magnitudes with sign tracking, and evaluations for
-n beyond ~10 lose significance to cancellation.  truncation_diagnostic reports
-when the last retained term is no longer small.
+With E[1/N^n(0)] = n0^-n both series are power series in the argument
+x = r (1 - 1/G)/n0 of the small-noise variance (1/2) ln(1 + x)
+(phasediff.smallnoise compares the two):
 
-The series is formal, too: for t > 0 the photon number N(t) has density
-e^-eta / nbar > 0 at N = 0, so E[1/N(t)] = infinity (and every higher
-inverse moment with it).  Each truncation is finite and is compared with
-Monte Carlo means conditional on no floor contact (phasediff.sde), not with
-an unconditional E[1/N(t)].
+    E_K[1/N] = (1/(G n0)) sum_{n<=K} (n-1)! x^(n-1),   V_K = sum_{n<=K} (n-1)!/(2n) x^n.
+
+Every term is positive, and the order-k truncation is a prefix of the order-K
+one, so the terms are formed once, by a running product, and every order
+1..K is a cumulative sum.  The tests keep the beta sum (in exact arithmetic),
+the hierarchy matrix's eigendecomposition and iterated integrals as oracles.
+
+The series is asymptotic: the terms grow by about n x per order, so they turn
+near n ~ 1/x >= n0/r, and at large enough K they overflow to inf, which the
+CSV writer refuses.  truncation_diagnostic flags a last term that is no
+longer small.  The series is formal, too: for t > 0 the photon number N(t)
+has density e^-eta / nbar > 0 at N = 0, so E[1/N(t)] = infinity (and every
+higher inverse moment with it).  Each truncation is finite and is compared
+with Monte Carlo means conditional on no floor contact (phasediff.sde).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .moments import gain
 from .params import AmplifierParams, CoherentInput
+from .smallnoise import _noise_to_signal
 
-__all__ = [
-    "ExpansionTable",
-    "build_table",
-    "g_n",
-    "initial_inverse_moments",
-    "mean_inverse",
-    "chi_n",
-    "phase_variance_expansion",
-    "truncation_diagnostic",
-]
+__all__ = ["mean_inverse", "phase_variance_expansion", "truncation_diagnostic"]
 
 
-@dataclass(frozen=True, eq=False)
-class ExpansionTable:
-    """Decay rates b_n, couplings c_n and coefficients beta[k-1, n-1] up to order K."""
-
-    order_k: int
-    b: np.ndarray
-    c: np.ndarray
-    beta: np.ndarray
-    params: AmplifierParams = field(repr=False)
-
-
-def build_table(params: AmplifierParams, order_k: int) -> ExpansionTable:
-    """Assemble the expansion coefficients for orders 1..order_k.
-
-    beta_{k,n} = c_1 ... c_{n-1} / prod_{j != k} (b_k - b_j) for n >= 2 and
-    beta_{1,1} = 1; numerator and denominator are accumulated in log space
-    because both grow factorially (naive products overflow near K ~ 20).
-    """
+def _series(params: AmplifierParams, input: CoherentInput, order_k: int, t):
+    """n = 1..order_k as a column, x, and the terms (n-1)! x^(n-1), shape (order_k, *t.shape)."""
     if order_k < 1 or order_k != int(order_k):
         raise ValueError(f"order_k must be an integer >= 1, got {order_k}")
-    order_k = int(order_k)
-    n_idx = np.arange(1, order_k + 1)
-    b = -n_idx * params.kappa_minus
-    c = n_idx**2 * params.kappa_up
-
-    beta = np.zeros((order_k, order_k))
-    beta[0, 0] = 1.0
-    log_c = np.log(c)
-    for n in range(2, order_k + 1):
-        log_num = log_c[: n - 1].sum()
-        for k in range(1, n + 1):
-            diffs = b[k - 1] - np.delete(b[:n], k - 1)
-            log_den = np.log(np.abs(diffs)).sum()
-            sign = np.prod(np.sign(diffs))
-            beta[k - 1, n - 1] = sign * np.exp(log_num - log_den)
-
-    # completeness of each column: g_n(0) must reproduce the initial moments
-    row_sums = beta.sum(axis=0)
-    expected = np.zeros(order_k)
-    expected[0] = 1.0
-    scale = np.maximum(np.abs(beta).max(axis=0), 1.0)
-    if np.any(np.abs(row_sums - expected) > 1e-10 * scale):
-        raise ArithmeticError("expansion coefficients violate the g_n(0) identity")
-    return ExpansionTable(order_k=order_k, b=b, c=c, beta=beta, params=params)
-
-
-def g_n(table: ExpansionTable, n: int, t):
-    """Time-dependent weight of the n-th initial inverse moment.
-
-    g_1(t) = 1/G_t exactly; g_n(0) = 0 for n >= 2; all g_n decay to zero.
-    """
-    if not 1 <= n <= table.order_k:
-        raise IndexError(f"n must be in 1..{table.order_k}, got {n}")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be >= 0")
-    w = table.beta[:n, n - 1]
-    return np.exp(np.multiply.outer(t, table.b[:n])) @ w
-
-
-def initial_inverse_moments(input: CoherentInput, order_k: int) -> np.ndarray:
-    """E[1/N^n(0)] = |alpha|^(-2n) for the deterministic coherent point.
-
-    Requires |alpha|^2 > 1: the series in inverse moments has no chance of
-    behaving otherwise.
-    """
     if input.amplitude_sq <= 1.0:
         raise ValueError(
             "amplitude_sq must exceed 1 for the inverse-moment series; "
             f"got {input.amplitude_sq} (the geometric growth of 1/N^n(0) "
             "otherwise overwhelms the expansion)"
         )
-    n = np.arange(1, int(order_k) + 1)
-    return input.amplitude_sq ** (-n.astype(float))
-
-
-def _partial_sums(weight, params, input, order_k, t):
-    """Rows k-1 = sum_{n<=k} weight_n(t) E[1/N^n(0)], k = 1..order_k, from one table."""
-    table = build_table(params, order_k)
-    moments = initial_inverse_moments(input, table.order_k)
-    t = np.asarray(t, dtype=float)
-    return np.cumsum(
-        [weight(table, n, t) * moments[n - 1] for n in range(1, table.order_k + 1)], axis=0
-    )
+    x = _noise_to_signal(params, input, t)
+    n = np.arange(1, int(order_k) + 1, dtype=float).reshape((-1,) + (1,) * np.ndim(x))
+    steps = (n - 1) * x  # term n over term n - 1
+    steps[0] = 1.0
+    return n, x, np.cumprod(steps, axis=0)
 
 
 def mean_inverse(params: AmplifierParams, input: CoherentInput, order_k: int, t):
-    """E[1/N(t)] ~= sum_n g_n(t) E[1/N^n(0)] at every truncation order 1..order_k.
+    """E[1/N(t)] ~= (1/(G n0)) sum_{n<=k} (n-1)! x^(n-1) at every order k = 1..order_k.
 
     Returns an (order_k, *t.shape) array whose row k-1 is the order-k sum.
     """
-    return _partial_sums(g_n, params, input, order_k, t)
-
-
-def chi_n(table: ExpansionTable, n: int, t):
-    """Phase-variance weight chi_n(t) = (kappa_up/2) * integral_0^t g_n.
-
-    Closed form (kappa_up/2) sum_k (beta_{k,n}/b_k)(exp(b_k t) - 1), evaluated
-    with expm1; zero at t = 0, nondecreasing, finite limit -(kappa_up/2)
-    sum_k beta_{k,n}/b_k.
-    """
-    if not 1 <= n <= table.order_k:
-        raise IndexError(f"n must be in 1..{table.order_k}, got {n}")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be >= 0")
-    w = table.beta[:n, n - 1] / table.b[:n]
-    return 0.5 * table.params.kappa_up * (np.expm1(np.multiply.outer(t, table.b[:n])) @ w)
+    _, _, terms = _series(params, input, order_k, t)
+    return np.cumsum(terms, axis=0) / (input.amplitude_sq * gain(params, t))
 
 
 def phase_variance_expansion(params: AmplifierParams, input: CoherentInput, order_k: int, t):
-    """V[Phi(t)] = sum_n chi_n(t) E[1/N^n(0)] at every truncation order 1..order_k.
+    """V[Phi(t)] ~= sum_{n<=k} (n-1)!/(2n) x^n at every order k = 1..order_k.
 
     Returns an (order_k, *t.shape) array whose row k-1 is the order-k sum.
     E[Phi(t)] stays at Phi(0) (the phase is driven by pure noise) and the
     coherent input carries no initial phase spread, so the second moment
     carries the whole time dependence.
     """
-    return _partial_sums(chi_n, params, input, order_k, t)
+    n, x, terms = _series(params, input, order_k, t)
+    return np.cumsum(terms * x / (2 * n), axis=0)
 
 
 def truncation_diagnostic(orders) -> dict:

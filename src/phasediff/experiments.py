@@ -126,7 +126,7 @@ def _run_variance_compare(cfg: ExperimentConfig):
     ens = simulate_polar(cfg.params, cfg.input, cfg.sde, store=(), reduce=("phi",))
     meta_extra: dict = {}
     _check_aborts(ens, meta_extra)
-    stats = ensemble_stats(ens, "phi", se_variance=True)["phi"]
+    stats = ensemble_stats(ens, "phi")["phi"]
     t = ens.times
     k = cfg.resolved["expansion_order"]
     orders = phase_variance_expansion(cfg.params, cfg.input, k, t)

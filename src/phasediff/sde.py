@@ -78,6 +78,11 @@ __all__ = [
 ]
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, the bound on what one run may hold."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 @dataclass(frozen=True)
 class SdeConfig:
     """Integration grid, ensemble size and reproducibility knobs.
@@ -95,7 +100,8 @@ class SdeConfig:
     The engine picks its worker count itself (see the module docstring); no
     field sets it, and no worker count changes a sampled value either.
     record_every only thins the stored grid.  A grid whose step mask, recorded
-    times and guard counts alone would not fit in physical memory is refused.
+    times and guard counts alone would not fit in physical memory is refused
+    (phasediff.config checks the stored paths, knowing what a run stores).
     Every step draws exactly two normals per trajectory (number noise, then
     phase noise), each scaled by sqrt(dt).
     """
@@ -132,8 +138,8 @@ class SdeConfig:
                 raise ValueError(f"{name} must be a {'non-negative' if name == 'max_guard_trips' else 'positive'} integer, got {v}")
         # every run holds _integrate's step mask (a byte per step), the recorded
         # grid and the guard counts (8 bytes per entry), whatever it stores
-        need = self.n_steps + 1 + 8 * (-(-self.n_steps // self.record_every) + 1 + self.n_traj)
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        need = self.n_steps + 1 + 8 * (self.n_recorded + self.n_traj)
+        have = _physical_memory()
         if need > have:
             raise ValueError(
                 f"t_max/dt = {steps:.4g} steps and {self.n_traj} trajectories need {need:.3g} "
@@ -143,6 +149,11 @@ class SdeConfig:
     @property
     def n_steps(self) -> int:
         return int(round(self.t_max / self.dt))
+
+    @property
+    def n_recorded(self) -> int:
+        """Length of recorded_steps(), without building it."""
+        return -(-self.n_steps // self.record_every) + 1
 
     def recorded_steps(self) -> np.ndarray:
         ks = np.arange(0, self.n_steps + 1, self.record_every)
@@ -178,15 +189,8 @@ class TrajectoryEnsemble:
         return len(self.guard_counts)
 
     def variables(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, paths in (
-            ("n", self.n_paths),
-            ("phi", self.phi_paths),
-            ("upsilon", self.upsilon_paths),
-        ):
-            if paths is not None:
-                out[name] = paths
-        return out
+        paths = {"n": self.n_paths, "phi": self.phi_paths, "upsilon": self.upsilon_paths}
+        return {name: p for name, p in paths.items() if p is not None}
 
 
 # Each worker holds one noise block, 375 x columns x width doubles: 24 MB across
@@ -499,32 +503,28 @@ def simulate_inverse(params: AmplifierParams, input: CoherentInput, config: SdeC
 
 @dataclass(frozen=True, eq=False)
 class VariableStats:
-    """Per-time ensemble statistics over the non-aborted trajectories.
-
-    se_variance is None unless ensemble_stats was asked for it.
-    """
+    """Per-time ensemble statistics over the non-aborted trajectories."""
 
     mean: np.ndarray
     variance: np.ndarray
     se_mean: np.ndarray
-    se_variance: np.ndarray | None
+    se_variance: np.ndarray
     n_used: int
 
 
-def ensemble_stats(ensemble: TrajectoryEnsemble, *names: str,
-                   se_variance: bool = False) -> dict[str, VariableStats]:
+def ensemble_stats(ensemble: TrajectoryEnsemble, *names: str) -> dict[str, VariableStats]:
     """Mean/variance time series with standard errors for the named variables.
 
     names picks among the variables the ensemble stored or reduced ("n",
     "phi", "upsilon"); none means every one of them.  The variance is the
     unbiased (ddof=1) estimator.  Its standard error comes from the fourth
-    central moment, Var(s^2) ~= (m4 - s^4 (n-3)/(n-1)) / n with m4 = M4 / n,
-    and is computed only when se_variance is set.  Aborted trajectories are
-    excluded (they sit outside the model's validity), which requires at least
-    two clean trajectories, so every statistic is conditional on no floor
-    contact.  A variable the workers reduced is read from ensemble.moments;
-    stored paths are reduced here by the same tiles and tree (see the module
-    docstring), one tile at a time, so both routes give the same bits.
+    central moment, Var(s^2) ~= (m4 - s^4 (n-3)/(n-1)) / n with m4 = M4 / n.
+    Aborted trajectories are excluded (they sit outside the model's validity),
+    which requires at least two clean trajectories, so every statistic is
+    conditional on no floor contact.  A variable the workers reduced is read
+    from ensemble.moments; stored paths are reduced here by the same tiles and
+    tree (see the module docstring), one tile at a time, so both routes give
+    the same bits.
     """
     variables = ensemble.variables()
     held = (*variables, *(v for v in ensemble.moments if v not in variables))
@@ -550,8 +550,7 @@ def ensemble_stats(ensemble: TrajectoryEnsemble, *names: str,
             mean=root.mean,
             variance=var,
             se_mean=np.sqrt(var / n),
-            se_variance=(np.sqrt(np.maximum(root.m4 / n - var**2 * (n - 3) / (n - 1), 0.0) / n)
-                         if se_variance else None),
+            se_variance=np.sqrt(np.maximum(root.m4 / n - var**2 * (n - 3) / (n - 1), 0.0) / n),
             n_used=n,
         )
     return out

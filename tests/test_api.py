@@ -1,6 +1,7 @@
 """The package's public names: growth or loss shows up here, in review."""
 
 import phasediff
+import phasediff.expansion
 
 PUBLIC = [
     "AmplifierParams", "CoherentInput", "ConfigError", "ExperimentConfig", "FockState",
@@ -22,3 +23,8 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in phasediff.__all__:
         assert getattr(phasediff, name) is not None, name
+
+
+def test_expansion_names_are_pinned():
+    assert sorted(phasediff.expansion.__all__) == [
+        "mean_inverse", "phase_variance_expansion", "truncation_diagnostic"]

@@ -93,6 +93,39 @@ def test_bad_config_exits_2(tmp_path, capsys, command, text, field):
     assert [d["field"] for d in record["details"]] == field.split(",")
 
 
+def test_number_fan_whose_paths_exceed_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # enough trajectories that the stored photon-number paths (201 recorded
+    # times) exceed physical memory while the guard counts still fit: refused
+    # in validation, before anything is mapped
+    def refuse(*shape, **kwargs):
+        raise AssertionError(f"mapped an array of shape {shape}")
+
+    monkeypatch.setattr(phasediff.sde, "_mapped", refuse)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    n_traj = have // (8 * 201) + 1
+    code, _, err = run(capsys, "number-fan", "--seed", "1", "--n-traj", str(n_traj),
+                       "--out", str(tmp_path))
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "validation"
+    assert [d["field"] for d in record["details"]] == ["n_traj"]
+    assert "physical memory" in record["details"][0]["message"]
+    phasediff.validate_config({"experiment": "number-fan", "master_seed": 1,
+                               "n_traj": n_traj - 1})  # whose paths just fit
+
+
+@pytest.mark.parametrize("command", ["variance-compare", "inverse-expansion"])
+def test_overflowing_expansion_order_exits_3(tmp_path, capsys, command):
+    # the series' terms (n-1)! x^(n-1) overflow long before order 1000
+    code, _, err = run(capsys, command, "--seed", "1", "--k-order", "1000", "--n-traj", "8",
+                       "--t-max", "1", "--out", str(tmp_path))
+    assert code == 3
+    record = json.loads(err)
+    assert record["error"] == "numerical-guard"
+    assert "non-finite value inf" in record["message"]
+    assert any("overflow" in w for w in record["warnings"])
+
+
 def test_sidecar_of_another_experiment_exits_2(tmp_path, capsys):
     # number-fan's fields all fit variance-compare's schema, so only the name tells
     code, out, _ = run(capsys, "number-fan", "--seed", "1", "--n-traj", "4",

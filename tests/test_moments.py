@@ -153,7 +153,7 @@ class TestPhotonVariance:
         cfg = SdeConfig(dt=np.log(2.0) / 3466, t_max=np.log(2.0), n_traj=20_000,
                         master_seed=7, record_every=10**9)
         ens = simulate_polar(IDEAL_1, CoherentInput(3.0), cfg)
-        st = ensemble_stats(ens, "n", se_variance=True)["n"]
+        st = ensemble_stats(ens, "n")["n"]
         assert abs(st.variance[-1] - v) < 3 * st.se_variance[-1]
 
     def test_nonnegative_on_grid(self):

@@ -226,7 +226,7 @@ class TestEngineMatchesOracle:
         cfg = self.config(n_traj=40, floor_epsilon=floor)
         stored = simulate(IDEAL_2, inp, cfg)
         assert stored.aborted.any() and not stored.aborted.all()
-        want = ensemble_stats(stored, se_variance=True)
+        want = ensemble_stats(stored)
         for workers in (1, 2, 3):
             set_workers(workers)
             for batch in (7, 32, 4096):
@@ -234,7 +234,7 @@ class TestEngineMatchesOracle:
                 ens = simulate(IDEAL_2, inp, self.config(n_traj=40, floor_epsilon=floor),
                                store=(), reduce=names)
                 assert np.array_equal(ens.guard_counts, stored.guard_counts)
-                got = ensemble_stats(ens, se_variance=True)
+                got = ensemble_stats(ens)
                 for name in names:
                     for field in ("mean", "variance", "se_mean", "se_variance"):
                         assert np.array_equal(getattr(got[name], field),
@@ -518,7 +518,7 @@ class TestPolar:
         cfg = SdeConfig(dt=1e-3, t_max=4.0, n_traj=500, master_seed=2, record_every=100)
         inp = CoherentInput(2.25, np.pi)
         ens = simulate_polar(IDEAL_1, inp, cfg)
-        stats = ensemble_stats(ens, "phi", se_variance=True)["phi"]
+        stats = ensemble_stats(ens, "phi")["phi"]
         sn = small_noise_phase_variance(IDEAL_1, inp, ens.times)
         assert np.all(stats.variance >= sn - 3 * stats.se_variance)
 
@@ -678,20 +678,14 @@ class TestEnsembleStats:
         assert np.array_equal(reduced.guard_counts, ens.guard_counts)
         before = {name: paths.copy() for name, paths in ens.variables().items()}
         for chosen in [(), *[(name,) for name in names]]:
-            for with_se in (False, True):
-                got = ensemble_stats(ens, *chosen, se_variance=with_se)
-                want = ensemble_stats(reduced, *chosen, se_variance=with_se)
-                assert sorted(got) == sorted(want) == sorted(chosen or names)
-                for name, stats in got.items():
-                    assert stats.n_used == want[name].n_used == int((~ens.aborted).sum())
-                    for field in ("mean", "variance", "se_mean"):
-                        assert np.array_equal(getattr(stats, field),
-                                              getattr(want[name], field)), field
-                    if with_se:
-                        assert stats.se_variance is not None
-                        assert np.array_equal(stats.se_variance, want[name].se_variance)
-                    else:
-                        assert stats.se_variance is None and want[name].se_variance is None
+            got = ensemble_stats(ens, *chosen)
+            want = ensemble_stats(reduced, *chosen)
+            assert sorted(got) == sorted(want) == sorted(chosen or names)
+            for name, stats in got.items():
+                assert stats.n_used == want[name].n_used == int((~ens.aborted).sum())
+                for field in ("mean", "variance", "se_mean", "se_variance"):
+                    assert np.array_equal(getattr(stats, field),
+                                          getattr(want[name], field)), field
         for name, paths in ens.variables().items():
             assert np.array_equal(paths, before[name])
 
@@ -704,7 +698,7 @@ class TestEnsembleStats:
         ens, _ = self.aborting_ensemble(engine)
         _, want = oracle_ensemble_stats(ens)
         _, with_pow = oracle_ensemble_stats(ens, fourth=lambda dev: dev**4)
-        for name, stats in ensemble_stats(ens, se_variance=True).items():
+        for name, stats in ensemble_stats(ens).items():
             x0 = ens.variables()[name][0, 0]
             for oracle in (want[name], with_pow[name]):
                 for field, zero_tol in [("mean", 4e-15), ("variance", 1e-29),
@@ -722,7 +716,7 @@ class TestEnsembleStats:
             aborted=np.zeros(4, dtype=bool),
             phi_paths=np.full((4, 3), 1.3),
         )
-        stats = ensemble_stats(ens, se_variance=True)["phi"]
+        stats = ensemble_stats(ens)["phi"]
         assert np.all(stats.variance == 0.0)
         assert np.all(stats.se_variance == 0.0)
         assert np.all(stats.mean == 1.3)
@@ -768,5 +762,7 @@ class TestConfigValidation:
             SdeConfig(dt=0.1, t_max=1.0, n_traj=1, master_seed=0, chunk_size=8)
 
     def test_final_step_always_recorded(self):
-        cfg = SdeConfig(dt=1e-3, t_max=1.0, n_traj=1, master_seed=0, record_every=300)
-        assert cfg.recorded_steps()[-1] == cfg.n_steps
+        for every in (1, 7, 250, 300, 1000, 5000):  # 1000 steps, divided evenly or not
+            cfg = SdeConfig(dt=1e-3, t_max=1.0, n_traj=1, master_seed=0, record_every=every)
+            assert cfg.recorded_steps()[-1] == cfg.n_steps
+            assert cfg.n_recorded == len(cfg.recorded_steps())

@@ -10,6 +10,7 @@ from phasediff import (
     CoherentInput,
     SdeConfig,
     ensemble_stats,
+    gain,
     mean_photon,
     p_function_phase_density,
     phase_variance_expansion,
@@ -39,6 +40,18 @@ def test_initial_value_is_initial_variance():
     for p in (IDEAL_1, AmplifierParams(0.7, 0.3)):
         v = small_noise_phase_variance(p, inp, np.zeros(3))
         assert np.all(v == 0.0) and not np.signbit(v).any()
+
+
+def test_shares_its_argument_with_the_expansion():
+    # V_1 = x/2 exactly, and the small-noise variance is (1/2) ln(1 + x) of the same x
+    t = np.concatenate([[0.0], np.geomspace(1e-9, 40.0, 200)])
+    for p, n0 in PARAM_GRID:
+        inp = CoherentInput(n0)
+        x = 2 * phase_variance_expansion(p, inp, 1, t)[0]
+        assert np.array_equal(small_noise_phase_variance(p, inp, t), 0.5 * np.log1p(x))
+        g = gain(p, t[t > 0.1])  # where g - 1 keeps its digits
+        np.testing.assert_allclose(x[t > 0.1], p.noise_ratio * (g - 1) / (g * n0),
+                                   rtol=1e-14, atol=0)
 
 
 def test_stationary_increment_n0_13():
@@ -107,7 +120,7 @@ class TestJensenBound:
     def test_never_exceeds_sampled_variance_beyond_noise(self):
         p, inp = IDEAL_1, CoherentInput(2.25)
         cfg = SdeConfig(dt=1e-3, t_max=4.0, n_traj=500, master_seed=2, record_every=40)
-        stats = ensemble_stats(simulate_polar(p, inp, cfg), "phi", se_variance=True)["phi"]
+        stats = ensemble_stats(simulate_polar(p, inp, cfg), "phi")["phi"]
         t = np.arange(0, cfg.n_steps + 1, cfg.record_every) * cfg.dt
         sn = small_noise_phase_variance(p, inp, t)
         assert np.all(sn <= stats.variance + 3 * stats.se_variance)

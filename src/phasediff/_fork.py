@@ -7,7 +7,9 @@ worker count is picked here alone (_WORKERS).  With two or more ranges each
 call runs in a child made by os.fork(): it shares the parent's memory as it
 was at the fork, so nothing is pickled or imported to start it.  A child
 sends what it has to say on a pipe to the parent: progress records, then its
-result or its exception.  It imports nothing, logs nothing, calls no BLAS,
+result or its exception, pickled here and unpickled in the parent, so this is
+the one module that knows how a result travels.  It imports nothing (every
+class it pickles was imported before the fork), logs nothing, calls no BLAS,
 collects no garbage (so no finalizer of an object copied from the parent
 runs) and leaves through os._exit, so no stdio buffer or exit handler of the
 parent runs twice and no lock that another thread of the parent held at the
@@ -28,8 +30,8 @@ __all__ = ["run_ranges"]
 
 # Every pipe message starts with a record of three int64.  (a, b, c) with
 # a >= 0 is a progress record, passed on as progress(a, b, c); (_RESULT, size,
-# 0) and (_ERROR, size, 0) are followed by size bytes of the child's result or
-# of its pickled exception, and nothing follows them.
+# 0) and (_ERROR, size, 0) are followed by size bytes of the child's pickled
+# result or exception, and nothing follows them.
 _RECORD = struct.Struct("=3q")
 _RESULT, _ERROR = -2, -1
 _READ = 1 << 16
@@ -41,16 +43,13 @@ except AttributeError:  # platforms without CPU affinity
     _WORKERS = os.cpu_count() or 1
 
 
-def _quiet(a: int, b: int, c: int) -> None:
-    pass
-
-
-def run_ranges(fn, n: int, smallest: int, progress=_quiet, what: str = "items") -> list:
+def run_ranges(fn, n: int, smallest: int, progress=lambda a, b, c: None,
+               what: str = "items") -> list:
     """Return [fn(lo, hi, report) for each range], in range order.
 
     0..n-1 is split into max(1, min(_WORKERS, n // smallest)) contiguous
-    ranges whose sizes differ by at most one.  fn returns bytes or None; a
-    child's bytes come back as a bytearray with the same content.
+    ranges whose sizes differ by at most one.  fn may return any picklable
+    object; a child's comes back as its pickled copy, so it compares equal.
     report(a, b, c), with a >= 0, calls progress(a, b, c) in the calling
     process, in the order each child sent them.  A child's exception is
     raised again here with its type and message; a child that ends any other
@@ -114,14 +113,14 @@ def _child(fn, lo: int, hi: int, fd: int):
     gc.disable()
     code = 1
     try:
-        result = fn(lo, hi, lambda a, b, c: _write_all(fd, _RECORD.pack(a, b, c)))
-        if result is not None:
-            _write_all(fd, _RECORD.pack(_RESULT, len(result), 0))
-            _write_all(fd, result)
-        code = 0
-    except BaseException as exc:
-        payload = pickle.dumps(exc)
-        _write_all(fd, _RECORD.pack(_ERROR, len(payload), 0) + payload)
+        try:
+            tag, payload = _RESULT, pickle.dumps(
+                fn(lo, hi, lambda a, b, c: _write_all(fd, _RECORD.pack(a, b, c))))
+        except BaseException as exc:
+            tag, payload = _ERROR, pickle.dumps(exc)
+        _write_all(fd, _RECORD.pack(tag, len(payload), 0))
+        _write_all(fd, payload)
+        code = int(tag == _ERROR)
     finally:
         os._exit(code)
 
@@ -141,15 +140,11 @@ def _outcome(received: bytearray, status: int, lo: int, hi: int, what: str):
     """A finished child's result; raise its exception, or how it died."""
     size = _RECORD.size
     tag, length, _ = _RECORD.unpack_from(received) if len(received) >= size else (0, -1, 0)
-    complete = tag < 0 and len(received) == size + length
-    if not status:
-        if not received:
-            return None
-        if complete and tag == _RESULT:
-            del received[:size]
-            return received
-    elif complete and tag == _ERROR:
-        raise pickle.loads(memoryview(received)[size:])  # written by our own forked child
+    if tag == (_ERROR if status else _RESULT) and len(received) == size + length:
+        value = pickle.loads(memoryview(received)[size:])  # written by our own forked child
+        if status:
+            raise value
+        return value
     code = os.waitstatus_to_exitcode(status)
     how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
     raise RuntimeError(f"the worker for {what} {lo}-{hi - 1} died ({how}) "

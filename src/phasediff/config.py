@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .distributions import MIN_GAIN_EXPONENT
+from .distributions import MIN_GAIN_EXPONENT, _fock_bytes, fock_cutoff
 from .params import AmplifierParams, CoherentInput
 from .sde import SdeConfig, _physical_memory
 
@@ -115,7 +115,7 @@ _CHECKS = {
     "dt": _POSITIVE,
     "t_max": _POSITIVE,
     "t_min": (_number, "a number"),
-    "n_traj": _COUNT,
+    "n_traj": (lambda v: _integer(v) and v >= 2, "an integer >= 2"),  # statistics need two
     "floor_epsilon": _POSITIVE,
     "max_guard_trips": (lambda v: _integer(v) and v >= 0, "an integer >= 0"),
     "record_every": _COUNT,
@@ -137,6 +137,27 @@ _CHECKS = {
                     "a 64-bit unsigned integer (required; runs must be reproducible)"),
     "out": (lambda v: isinstance(v, str), "a path string"),
 }
+
+
+def _fock_memory(resolved: dict, params: AmplifierParams, input_: CoherentInput) -> list:
+    """[(field, message)] when a Fock experiment's arrays exceed physical memory."""
+    key, t, n_times = (("times", resolved["times"][-1], len(resolved["times"]))
+                       if "times" in resolved else
+                       ("t_max", resolved["t_max"], resolved["n_time_points"]))
+    cutoff, tail, have = resolved["cutoff_s"], resolved["tail_bound"], _physical_memory()
+    if cutoff is not None:
+        key = "cutoff_s"
+    else:  # searched only once a lower bound fits: the output count dominates a thermal
+        # count of mean G - 1 (cutoff + 1 >= (G - 1) ln(1/tail)), the input's is Poisson
+        # of mean amplitude_sq (cutoff + 1 >= amplitude_sq); G past e^700 fits nowhere
+        cutoff = max(math.expm1(min(params.kappa_minus * t, 700.0)) * -math.log(tail),
+                     input_.amplitude_sq) - 1
+        if _fock_bytes(cutoff, n_times) <= have:
+            cutoff = fock_cutoff(params, input_, t, tail)
+    need = _fock_bytes(cutoff, n_times)
+    return [] if need <= have else [(key, (
+        f"needs at least {need:.3g} bytes (a Fock cutoff of {cutoff:.4g} or more at {n_times} "
+        f"times), more than the {have:.3g} bytes of physical memory"))]
 
 
 def experiment_defaults(experiment: str) -> dict:
@@ -254,6 +275,8 @@ def validate_config(raw) -> ExperimentConfig:
             if not params.kappa_minus * t > MIN_GAIN_EXPONENT:
                 errors.append((key, f"kappa_minus * t must exceed {MIN_GAIN_EXPONENT:g} "
                                     f"(a gain above 1), got t = {t!r}"))
+        if not errors and "cutoff_s" in resolved:
+            errors += _fock_memory(resolved, params, input_)
 
     if errors:
         raise ConfigError(errors)

@@ -156,7 +156,6 @@ class PhaseDensity:
 
     phi_grid: np.ndarray
     density: np.ndarray
-    origin: str
 
     def __post_init__(self):
         if self.phi_grid.shape != self.density.shape:
@@ -178,13 +177,14 @@ def _chernoff_count_cutoff(coherent_part: float, thermal_part: float, tail: floa
 
     Uses the Chernoff bound P(X > s) <= M(z)/z^(s+1) on the generating
     function M(z) = exp(b zeta/(1 - n_th zeta))/(1 - n_th zeta), zeta = z - 1,
-    minimized over a zeta grid.
+    minimized over a zeta grid below the pole at 1/thermal_part: from 1e-8,
+    or from 1e-8 of its end once the pole is that near (thermal part > ~1e8).
     """
     if thermal_part < 1e-300:
         zeta_max = 1e4
     else:
         zeta_max = (1.0 - 1e-10) / thermal_part
-    zeta = np.geomspace(1e-8, zeta_max, 4000)
+    zeta = np.geomspace(1e-8 if zeta_max > 1e-8 else 1e-8 * zeta_max, zeta_max, 4000)
     log_m = coherent_part * zeta / (1.0 - thermal_part * zeta) - np.log1p(-thermal_part * zeta)
     s_req = (log_m - np.log(tail)) / np.log1p(zeta) - 1.0
     return max(int(np.ceil(s_req.min())), 0)
@@ -226,6 +226,14 @@ def _band_kmax(input: CoherentInput, log_fact: np.ndarray, d: int) -> int:
         if np.max(c[k:] * c[: d - k]) < _BAND_DROP_BELOW:
             return min(k + _BAND_MARGIN, d - 1)
     return d - 1
+
+
+def _fock_bytes(cutoff_s: int, n_times: int) -> int:
+    """Bytes evolve_density_series holds at least: 2d - 1 log-factorials and, per
+    time, kmax + 1 >= min(_BAND_MARGIN + 2, d) rows of d ratios and complex band
+    entries, d = cutoff_s + 1 (_band_kmax keeps the diagonal, whose top is >= 1/d)."""
+    d = cutoff_s + 1
+    return 8 * (2 * d - 1) + 24 * n_times * min(_BAND_MARGIN + 2, d) * d
 
 
 # recurrence steps whose coefficients are formed at once; forming them for every
@@ -342,7 +350,7 @@ def pegg_barnett_distribution(state: FockState, phi_0: float) -> PhaseDensity:
     c = state.band.sum(axis=1)
     spectrum = np.fft.fft(c * np.exp(-1j * np.arange(len(c)) * phi_0), n=d)
     dens = (2 * spectrum.real - c[0].real) / (2 * np.pi)
-    return PhaseDensity(phi_grid=phi, density=np.maximum(dens, 0.0), origin="pegg_barnett")
+    return PhaseDensity(phi_grid=phi, density=np.maximum(dens, 0.0))
 
 
 def distribution_variance(density: PhaseDensity) -> float:

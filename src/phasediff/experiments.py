@@ -8,17 +8,18 @@ wall_time_s and config.out fields vary between reruns).  Numbers are written
 with 17 significant digits and NaN/Inf are refused, so CSV bodies round-trip
 exactly.  A large table (at least _CSV_CELLS cells per worker) is formatted
 by forked workers, one contiguous range of rows each
-(phasediff._fork.run_ranges), into the same bytes the calling process would
-write.
+(phasediff._fork.run_ranges, which carries each range's text back), into the
+same text the calling process would write.
 
 The Monte Carlo columns (sample_mean, sample_variance, mc_mean and their
 standard errors) are sample statistics conditional on no floor contact: the
 trajectories that touched the positivity floor are aborted and excluded, and
 the sidecar counts them (aborted_trajectories).  Unconditionally, E[1/N(t)]
 and the unwrapped phase variance are infinite for t > 0 (see phasediff.sde).
-variance-compare and inverse-expansion keep no path: their workers reduce the
-statistics (phasediff.sde); number-fan keeps only the photon-number paths it
-writes.
+Every Monte Carlo column comes from the statistics the SDE workers reduce
+(phasediff.sde), the one route to them.  variance-compare and
+inverse-expansion keep no path; number-fan keeps only the photon-number paths
+it writes.
 """
 
 from __future__ import annotations
@@ -82,15 +83,13 @@ def _csv_body(header: list[str], columns: list[np.ndarray]) -> str:
     # each worker's range holds at least _CSV_CELLS cells: ceil(_CSV_CELLS / columns) rows
     parts = run_ranges(functools.partial(_format_rows, table, row), n,
                        -(-_CSV_CELLS // len(columns)), what="rows")
-    parts.insert(0, (",".join(header) + "\n").encode())
-    body = b"".join(parts)
-    del parts  # at most two copies of the text at once
-    return body.decode()
+    del table  # the numbers need not outlive their text: 5 MB of number-fan's peak
+    return "".join([",".join(header) + "\n", *parts])
 
 
-def _format_rows(table: np.ndarray, row: str, lo: int, hi: int, report) -> bytes:
-    """Rows lo..hi-1 of table in the row template, as ASCII bytes."""
-    return "".join([row % tuple(r) for r in table[lo:hi].tolist()]).encode("ascii")
+def _format_rows(table: np.ndarray, row: str, lo: int, hi: int, report) -> str:
+    """Rows lo..hi-1 of table in the row template."""
+    return "".join([row % tuple(r) for r in table[lo:hi].tolist()])
 
 
 def _check_aborts(ensemble, metadata):
@@ -106,7 +105,7 @@ def _check_aborts(ensemble, metadata):
 
 
 def _run_number_fan(cfg: ExperimentConfig):
-    ens = simulate_polar(cfg.params, cfg.input, cfg.sde, store=("n",))
+    ens = simulate_polar(cfg.params, cfg.input, cfg.sde, store=("n",), reduce=("n",))
     meta_extra: dict = {}
     _check_aborts(ens, meta_extra)
     stats = ensemble_stats(ens, "n")["n"]
@@ -227,10 +226,7 @@ def _run_variance_from_dist(cfg: ExperimentConfig):
     grid = phi0 + 2 * np.pi * np.arange(4096) / 4096
     var_p = np.array([
         distribution_variance(PhaseDensity(
-            phi_grid=grid,
-            density=p_function_phase_density(cfg.params, cfg.input, float(t), grid),
-            origin="p_function",
-        ))
+            grid, p_function_phase_density(cfg.params, cfg.input, float(t), grid)))
         for t in times
     ])
     prov = {"t": "grid", "variance_p_function": "analytic",

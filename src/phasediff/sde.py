@@ -12,15 +12,16 @@ Each tile's non-aborted rows are reduced to their count, mean and central
 sums M2, M3, M4 per recorded time, and the tiles are merged along a fixed
 binary tree over tile indices (node (level, i) covers tiles i 2^level ..
 (i + 1) 2^level - 1; Chan, Golub & LeVeque's update for the mean and M2,
-Pebay's for M3 and M4).  The statistics therefore depend on the paths alone:
-not on the worker count, the batch width or the CPU count, nor on whether a
-worker reduced them while stepping or ensemble_stats reduced stored paths.
-They are sample statistics conditional on no floor contact: aborted
-trajectories are excluded, and a trajectory that touched the floor is not a
-sample of the unclamped process.  That is also what makes them finite.  N(t)
-has density e^-eta / nbar > 0 at N = 0 for t > 0, so E[1/N(t)] = infinity, and
-so is the unwrapped phase variance; only the floor and the abort rule keep
-the sample moments of 1/N and of the phase finite.
+Pebay's for M3 and M4).  The statistics therefore depend on the paths alone,
+not on the worker count, the batch width or the CPU count.  The workers are
+their one production route: ensemble_stats reads the roots they leave and
+never reduces a stored path.  They are sample statistics conditional on no
+floor contact: aborted trajectories are excluded, and a trajectory that
+touched the floor is not a sample of the unclamped process.  That is also
+what makes them finite.  N(t) has density e^-eta / nbar > 0 at N = 0 for
+t > 0, so E[1/N(t)] = infinity, and so is the unwrapped phase variance; only
+the floor and the abort rule keep the sample moments of 1/N and of the phase
+finite.
 
 Engine: the tiles are split into contiguous ranges by
 phasediff._fork.run_ranges, which picks the number of ranges (at most one per
@@ -40,10 +41,11 @@ The caller picks which variables' paths to store and which variables'
 statistics to reduce.  A stored path goes into an anonymous shared memory
 mapping (_mapped) made before the fork, which the child writes in place; a
 variable that is only reduced is recorded into the worker's own batch
-buffer, and the worker sends back the roots of the whole subtrees of tiles it
-finished (O(log n_traj) of them) as its result bytes, for the calling process
-to finish the tree.  So a run that stores no path holds no n_traj x
-recorded-times array anywhere.  Every engine array has a mapping of its own,
+buffer.  Either way the worker returns the roots of the whole subtrees of
+tiles it finished (O(log n_traj) of them), {(level, i): _Moments} per
+variable, which phasediff._fork carries back to the calling process to finish
+the tree.  So a run that stores no path holds no n_traj x recorded-times
+array anywhere.  Every engine array has a mapping of its own,
 so the memory a run holds does not depend on the malloc heap's history.
 Progress goes to the "phasediff.sde" logger, from the calling process: one
 DEBUG record per stepped time block of each batch.
@@ -168,7 +170,7 @@ class TrajectoryEnsemble:
 
     A path field is None unless the simulation stored that variable; moments
     maps each variable the simulation reduced to the root of its tile tree
-    (see the module docstring), which ensemble_stats reads.
+    (see the module docstring); ensemble_stats reads those, never the paths.
 
     Phases are accumulated unwrapped (no modular reduction): the distribution
     stays single-peaked in this regime, and unwrapped accumulation is what the
@@ -214,10 +216,6 @@ def _mapped(*shape: int, dtype=np.float64) -> np.ndarray:
     """
     dtype = np.dtype(dtype)
     return np.frombuffer(mmap.mmap(-1, dtype.itemsize * math.prod(shape)), dtype=dtype).reshape(shape)
-
-
-def _progress(start: int, stop: int, k: int, n_steps: int) -> None:
-    _log.debug("trajectories %d-%d: %d/%d steps", start, stop - 1, k, n_steps)
 
 
 def _noise_blocks(config: SdeConfig, start: int, stop: int, report, columns: int):
@@ -282,15 +280,17 @@ def _integrate(params, input, config, stepper, names, noise_columns, store, redu
             kept = guard_counts[rows] <= config.max_guard_trips
             for name in reduced:
                 _reduce_rows(recorded[name], kept, start // _TILE, trees[name], n_tiles)
-        return _pack(trees, reduced, m) if reduced else None
+        return trees
 
     parts = run_ranges(run_range, n_tiles, 1,
-                       lambda start, stop, k: _progress(start, stop, k, config.n_steps),
+                       lambda start, stop, k: _log.debug("trajectories %d-%d: %d/%d steps",
+                                                         start, stop - 1, k, config.n_steps),
                        "trajectory tiles")
     trees = {name: {} for name in reduced}
     for part in parts:
-        if part is not None:
-            _unpack(part, trees, reduced, m, n_tiles)
+        for name, nodes in part.items():
+            for (level, i), node in nodes.items():
+                _insert(trees[name], level, i, node, n_tiles)
     return TrajectoryEnsemble(
         times=ks * config.dt, guard_counts=guard_counts,
         aborted=guard_counts > config.max_guard_trips, config=config,
@@ -385,26 +385,6 @@ def _root(tree: dict) -> _Moments | None:
     return node
 
 
-def _pack(trees: dict, names: list, m: int) -> bytes:
-    """The nodes of trees as float64 records (variable, level, i, count, moments)."""
-    records = []
-    for v, name in enumerate(names):
-        for (level, i), node in trees[name].items():
-            record = np.zeros(4 + 4 * m)
-            record[:4] = v, level, i, 0 if node is None else node.count
-            if node is not None:
-                record[4:].reshape(4, m)[:] = node[1:]
-            records.append(record.tobytes())
-    return b"".join(records)
-
-
-def _unpack(part, trees: dict, names: list, m: int, n_tiles: int) -> None:
-    for record in np.frombuffer(part).reshape(-1, 4 + 4 * m):
-        v, level, i, count = (int(x) for x in record[:4])
-        _insert(trees[names[v]], level, i,
-                _Moments(count, *record[4:].reshape(4, m)) if count else None, n_tiles)
-
-
 def _polar_stepper(params, input, config, blocks, rec_mask, chunk_paths, guard_counts):
     ku, km = params.kappa_up, params.kappa_minus
     dt, floor = config.dt, config.floor_epsilon
@@ -469,21 +449,21 @@ def _inverse_stepper(params, input, config, blocks, rec_mask, chunk_paths, guard
 
 
 def simulate_polar(params: AmplifierParams, input: CoherentInput, config: SdeConfig, *,
-                   store=("n", "phi"), reduce=()) -> TrajectoryEnsemble:
+                   store=("n", "phi"), reduce=("n", "phi")) -> TrajectoryEnsemble:
     """Integrate the coupled number/phase pair from the deterministic start.
 
     dPhi = sqrt(kappa_up / 2N) dV_phi and
     dN = (kappa_up + kappa_minus N) dt + sqrt(2 kappa_up N) dV_N
     with independent increments, both evaluated at the step's start (Ito).
     store names the variables ("n", "phi") whose paths are kept, reduce
-    those whose statistics the workers reduce for ensemble_stats; a variable
-    named in neither is not recorded.
+    those whose statistics the workers reduce for ensemble_stats (by default
+    both of each); a variable named in neither is not recorded.
     """
     return _integrate(params, input, config, _polar_stepper, ("n", "phi"), 2, store, reduce)
 
 
 def simulate_inverse(params: AmplifierParams, input: CoherentInput, config: SdeConfig, *,
-                     store=("upsilon",), reduce=()) -> TrajectoryEnsemble:
+                     store=("upsilon",), reduce=("upsilon",)) -> TrajectoryEnsemble:
     """Integrate the reciprocal process U = 1/N directly.
 
     dU = -(kappa_minus U - kappa_up U^2) dt - sqrt(2 kappa_up U^3) dV_N,
@@ -515,24 +495,22 @@ class VariableStats:
 def ensemble_stats(ensemble: TrajectoryEnsemble, *names: str) -> dict[str, VariableStats]:
     """Mean/variance time series with standard errors for the named variables.
 
-    names picks among the variables the ensemble stored or reduced ("n",
-    "phi", "upsilon"); none means every one of them.  The variance is the
+    names picks among the variables the simulation reduced ("n", "phi",
+    "upsilon"); none means every one of them.  The variance is the
     unbiased (ddof=1) estimator.  Its standard error comes from the fourth
     central moment, Var(s^2) ~= (m4 - s^4 (n-3)/(n-1)) / n with m4 = M4 / n.
     Aborted trajectories are excluded (they sit outside the model's validity),
     which requires at least two clean trajectories, so every statistic is
-    conditional on no floor contact.  A variable the workers reduced is read
-    from ensemble.moments; stored paths are reduced here by the same tiles and
-    tree (see the module docstring), one tile at a time, so both routes give
-    the same bits.
+    conditional on no floor contact.  Everything is read from
+    ensemble.moments, the roots the workers reduced (see the module
+    docstring); a stored path is never read, so a variable that was stored
+    but not reduced is unknown here.
     """
-    variables = ensemble.variables()
-    held = (*variables, *(v for v in ensemble.moments if v not in variables))
+    held = tuple(ensemble.moments)
     for name in names:
         if name not in held:
-            raise ValueError(f"unknown variable {name!r}; this ensemble stored or reduced {held}")
-    kept = ~ensemble.aborted
-    n = int(np.count_nonzero(kept))
+            raise ValueError(f"unknown variable {name!r}; this ensemble reduced {held}")
+    n = int(np.count_nonzero(~ensemble.aborted))
     if n < 2:
         raise GuardTripError(
             f"only {n} non-aborted trajectories of {ensemble.n_traj}; "
@@ -540,11 +518,7 @@ def ensemble_stats(ensemble: TrajectoryEnsemble, *names: str) -> dict[str, Varia
         )
     out = {}
     for name in names or held:
-        root = ensemble.moments.get(name)
-        if root is None:
-            tree = {}
-            _reduce_rows(variables[name], kept, 0, tree, -(-ensemble.n_traj // _TILE))
-            root = _root(tree)
+        root = ensemble.moments[name]
         var = root.m2 / (n - 1)
         out[name] = VariableStats(
             mean=root.mean,

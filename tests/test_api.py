@@ -1,5 +1,7 @@
 """The package's public names: growth or loss shows up here, in review."""
 
+import inspect
+
 import phasediff
 import phasediff.expansion
 
@@ -28,3 +30,14 @@ def test_every_public_name_resolves():
 def test_expansion_names_are_pinned():
     assert sorted(phasediff.expansion.__all__) == [
         "mean_inverse", "phase_variance_expansion", "truncation_diagnostic"]
+
+
+def test_simulator_options_are_pinned():
+    # by default a simulation stores and reduces every variable it records
+    for simulate, names in [(phasediff.simulate_polar, ("n", "phi")),
+                            (phasediff.simulate_inverse, ("upsilon",))]:
+        parameters = inspect.signature(simulate).parameters.values()
+        assert [p.name for p in parameters if p.kind is p.POSITIONAL_OR_KEYWORD] == [
+            "params", "input", "config"]
+        assert {p.name: p.default for p in parameters if p.kind is p.KEYWORD_ONLY} == {
+            "store": names, "reduce": names}

@@ -13,6 +13,9 @@ import phasediff
 from phasediff.cli import main
 
 
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -69,6 +72,9 @@ def test_analytic_experiment_ignores_sde_limits(tmp_path, capsys):
         ("number-fan --dt 1e-15", "{}", "dt/t_max/n_traj"),  # a 2e15-byte step mask
         ("number-fan", '{"dt": -0.001}', "dt"),
         ("number-fan", '{"n_traj": 0}', "n_traj"),
+        ("number-fan", '{"n_traj": 1}', "n_traj"),  # statistics need two trajectories
+        ("variance-compare", '{"n_traj": 1}', "n_traj"),
+        ("inverse-expansion", '{"n_traj": 1}', "n_traj"),
         ("number-fan", '{"floor_epsilon": 0}', "floor_epsilon"),
         ("number-fan", '{"max_guard_trips": -1}', "max_guard_trips"),
         ("number-fan", '{"record_every": 0}', "record_every"),
@@ -101,8 +107,7 @@ def test_number_fan_whose_paths_exceed_memory_exits_2(tmp_path, capsys, monkeypa
         raise AssertionError(f"mapped an array of shape {shape}")
 
     monkeypatch.setattr(phasediff.sde, "_mapped", refuse)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    n_traj = have // (8 * 201) + 1
+    n_traj = PHYSICAL_MEMORY // (8 * 201) + 1
     code, _, err = run(capsys, "number-fan", "--seed", "1", "--n-traj", str(n_traj),
                        "--out", str(tmp_path))
     assert code == 2
@@ -112,6 +117,29 @@ def test_number_fan_whose_paths_exceed_memory_exits_2(tmp_path, capsys, monkeypa
     assert "physical memory" in record["details"][0]["message"]
     phasediff.validate_config({"experiment": "number-fan", "master_seed": 1,
                                "n_traj": n_traj - 1})  # whose paths just fit
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    # kappa_minus t = 20: the cutoff search used to run past its pole (NaN);
+    # the cutoff is 1.1e10 or more, 1.8e11 bytes of log-factorials alone
+    ("dist-converge", {"times": [0.1, 20.0]}, "times"),
+    ("variance-from-dist", {"t_max": 20.0}, "t_max"),
+    ("dist-converge", {"times": [0.1, 800.0]}, "times"),  # the gain overflows
+    ("variance-from-dist", {"cutoff_s": PHYSICAL_MEMORY // 8}, "cutoff_s"),  # 16 bytes a level
+])
+def test_fock_arrays_beyond_memory_exit_2(tmp_path, capsys, monkeypatch, command, doc, field):
+    # refused from the sizes alone, before any Fock array is made
+    def refuse(*args):
+        raise AssertionError("built a log-factorial table")
+
+    monkeypatch.setattr(phasediff.distributions, "_log_factorials", refuse)
+    config = write(tmp_path, "cfg.json", json.dumps(doc))
+    code, _, err = run(capsys, command, "--config", config, "--seed", "1", "--out", str(tmp_path))
+    assert code == 2
+    record = json.loads(err)
+    assert record["error"] == "validation"
+    assert [d["field"] for d in record["details"]] == [field]
+    assert "physical memory" in record["details"][0]["message"]
 
 
 @pytest.mark.parametrize("command", ["variance-compare", "inverse-expansion"])

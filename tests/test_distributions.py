@@ -1,5 +1,7 @@
 """Fock-space output state and phase densities against RK4, offset-sum and closed-form oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import erf, gammaln
@@ -17,7 +19,7 @@ from phasediff import (
     pegg_barnett_distribution,
     photon_variance,
 )
-from phasediff.distributions import _check_band, _erf, _log_factorials
+from phasediff.distributions import _check_band, _chernoff_count_cutoff, _erf, _log_factorials
 
 IDEAL_1 = AmplifierParams(1.0, 0.0)
 LOSSY = AmplifierParams(1.0, 0.3)
@@ -199,6 +201,16 @@ class TestPhotonStatistics:
         s = fock_cutoff(params, inp, t, tail)
         populations = evolve(params, inp, 2 * s, t).band[0].real
         assert populations[s + 1:].sum() <= tail
+
+    @pytest.mark.parametrize("thermal", [1e3, 1e8, 4.85e8, 1e12])
+    def test_cutoff_search_stays_below_the_pole(self, thermal):
+        # from a thermal part of about 1e8 on (kappa_minus t = 18.4 at r = 1) a
+        # zeta grid starting at 1e-8 would lie past the pole at 1/thermal.  A
+        # thermal count has P(X > s) = (n / (1 + n))^(s + 1) exactly; the
+        # Chernoff cutoff bounds it, 1.187 times the exact one at each n here
+        s = _chernoff_count_cutoff(0.0, thermal, 1e-10)
+        exact = math.ceil(math.log(1e10) / math.log1p(1.0 / thermal)) - 1
+        assert exact <= s <= 1.2 * exact
 
 
 class TestGuards:

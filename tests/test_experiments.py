@@ -178,7 +178,7 @@ def test_default_config_runs(tmp_path, experiment):
 
 
 @pytest.mark.parametrize("experiment, simulator, stored, reduced", [
-    ("number-fan", "simulate_polar", ["n"], []),
+    ("number-fan", "simulate_polar", ["n"], ["n"]),
     ("variance-compare", "simulate_polar", [], ["phi"]),
     ("inverse-expansion", "simulate_inverse", [], ["upsilon"]),
 ])

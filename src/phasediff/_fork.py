@@ -8,18 +8,21 @@ call runs in a child made by os.fork(): it shares the parent's memory as it
 was at the fork, so nothing is pickled or imported to start it.  A child
 sends what it has to say on a pipe to the parent: progress records, then its
 result or its exception, pickled here and unpickled in the parent, so this is
-the one module that knows how a result travels.  It imports nothing (every
-class it pickles was imported before the fork), logs nothing, calls no BLAS,
-collects no garbage (so no finalizer of an object copied from the parent
-runs) and leaves through os._exit, so no stdio buffer or exit handler of the
-parent runs twice and no lock that another thread of the parent held at the
-fork is touched.  With one range, or without os.fork, the calls run in the
-calling process.
+the one module that knows how a result travels.  The parent reads a pickle
+into one anonymous mapping of its size, freed once unpickled, so the bytes in
+transit grow no heap buffer that would leave holes behind.  A child imports
+nothing (every class it pickles was imported before the fork), logs nothing,
+calls no BLAS, collects no garbage (so no finalizer of an object copied from
+the parent runs) and leaves through os._exit, so no stdio buffer or exit
+handler of the parent runs twice and no lock that another thread of the
+parent held at the fork is touched.  With one range, or without os.fork, the
+calls run in the calling process.
 """
 
 from __future__ import annotations
 
 import gc
+import mmap
 import os
 import pickle
 import selectors
@@ -65,6 +68,7 @@ def run_ranges(fn, n: int, smallest: int, progress=lambda a, b, c: None,
         return [fn(lo, hi, progress) for lo, hi in ranges]
     results = [None] * workers
     pids, index, received = {}, {}, {}   # read end -> pid while not reaped, -> range index, -> bytes
+    payloads = {}  # read end -> (tag, mapping its pickle is read into), from its header on
     try:
         for i, (lo, hi) in enumerate(ranges):
             r, w = os.pipe()
@@ -85,14 +89,21 @@ def run_ranges(fn, n: int, smallest: int, progress=lambda a, b, c: None,
                 for key, _ in sel.select():
                     r = key.fd
                     data = os.read(r, _READ)
-                    if data:
+                    if r in payloads:
+                        payloads[r][1].write(data)
+                    elif data:
                         received[r] += data
                         _relay(received[r], progress)
+                        if len(received[r]) >= _RECORD.size:  # the result's header
+                            tag, size, _ = _RECORD.unpack_from(received[r])
+                            payloads[r] = tag, mmap.mmap(-1, size)
+                            payloads[r][1].write(received.pop(r)[_RECORD.size:])
+                    if data:
                         continue
                     sel.unregister(r)
                     _, status = os.waitpid(pids.pop(r), 0)
                     i = index[r]
-                    results[i] = _outcome(received.pop(r), status, *ranges[i], what)
+                    results[i] = _outcome(payloads.pop(r, None), status, *ranges[i], what)
     finally:
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
@@ -136,12 +147,12 @@ def _relay(received: bytearray, progress) -> None:
         del received[:size]
 
 
-def _outcome(received: bytearray, status: int, lo: int, hi: int, what: str):
-    """A finished child's result; raise its exception, or how it died."""
-    size = _RECORD.size
-    tag, length, _ = _RECORD.unpack_from(received) if len(received) >= size else (0, -1, 0)
-    if tag == (_ERROR if status else _RESULT) and len(received) == size + length:
-        value = pickle.loads(memoryview(received)[size:])  # written by our own forked child
+def _outcome(payload, status: int, lo: int, hi: int, what: str):
+    """A finished child's result from its (tag, mapping), or None when it sent
+    no header; raise its exception, or how it died."""
+    tag, buf = payload or (0, None)
+    if tag == (_ERROR if status else _RESULT) and buf.tell() == len(buf):
+        value = pickle.loads(buf)  # written by our own forked child
         if status:
             raise value
         return value

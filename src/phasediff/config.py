@@ -2,12 +2,18 @@
 
 Each experiment has its own schema: a flat key/value document holding every
 field the experiment reads, with its default, and no other field.  Schemas are
-assembled from small groups (amplifier rates, SDE integration, Fock-space
-cutoff) plus the run fields master_seed (required) and out.  A field outside
-the experiment's schema is rejected.  The resolved document (defaults merged
-with the user's keys) is echoed into the run metadata so the metadata alone
-pins the run.  Validation is aggregated: all problems are reported at once,
-each naming its field.
+assembled from small groups (amplifier rates, SDE integration) plus the run
+fields master_seed (required) and out.  A field outside the experiment's
+schema is rejected, so an older sidecar that sets a removed field (chunk_size,
+cutoff_s, tail_bound) exits with a validation error.  The resolved document
+(defaults merged with the user's keys) is echoed into the run metadata so the
+metadata alone pins the run.  Validation is aggregated: all problems are
+reported at once, each naming its field.
+
+The Fock cutoff is no field: a run takes distributions.fock_cutoff, the one
+cutoff rule, at its last time and records it in the sidecar.  Validation
+refuses, naming times or t_max, a run whose cutoff that rule refuses or whose
+Fock arrays exceed physical memory.
 """
 
 from __future__ import annotations
@@ -49,7 +55,6 @@ _SDE = {
     "max_guard_trips": 0,
     "record_every": 10,
 }
-_FOCK = {"cutoff_s": None, "tail_bound": 1e-10}
 _RUN = {"master_seed": None, "out": "results"}  # master_seed is required
 
 # experiment name -> (description, schema: every field it reads, with its default)
@@ -80,11 +85,11 @@ _EXPERIMENTS: dict[str, tuple[str, dict]] = {
     ),
     "dist-converge": (
         "phase densities from the closed form and the Fock reference at two times",
-        {**_AMPLIFIER, "amplitude_sq": 2.25, "theta": math.pi, **_FOCK, "times": [0.1, 4.0]},
+        {**_AMPLIFIER, "amplitude_sq": 2.25, "theta": math.pi, "times": [0.1, 4.0]},
     ),
     "variance-from-dist": (
         "phase variance over time from both phase densities",
-        {**_AMPLIFIER, "amplitude_sq": 2.25, "theta": math.pi, **_FOCK,
+        {**_AMPLIFIER, "amplitude_sq": 2.25, "theta": math.pi,
          "t_min": 0.1, "t_max": 4.0, "n_time_points": 16},
     ),
 }
@@ -128,9 +133,6 @@ _CHECKS = {
                        "a non-empty list of [kappa_up, kappa_down] pairs of numbers"),
     "input_grid_max": _POSITIVE,
     "input_grid_points": _COUNT,
-    "cutoff_s": (lambda v: v is None or _integer(v) and v >= 8,
-                 "null (auto) or an integer >= 8"),
-    "tail_bound": (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)"),
     "times": (lambda v: _list_of(v, lambda t: _number(t) and t > 0) and sorted(v) == v,
               "a sorted non-empty list of times > 0"),
     "master_seed": (lambda v: _integer(v) and 0 <= v < 2**64,
@@ -144,20 +146,16 @@ def _fock_memory(resolved: dict, params: AmplifierParams, input_: CoherentInput)
     key, t, n_times = (("times", resolved["times"][-1], len(resolved["times"]))
                        if "times" in resolved else
                        ("t_max", resolved["t_max"], resolved["n_time_points"]))
-    cutoff, tail, have = resolved["cutoff_s"], resolved["tail_bound"], _physical_memory()
-    if cutoff is not None:
-        key = "cutoff_s"
-    else:  # searched only once a lower bound fits: the output count dominates a thermal
-        # count of mean G - 1 (cutoff + 1 >= (G - 1) ln(1/tail)), the input's is Poisson
-        # of mean amplitude_sq (cutoff + 1 >= amplitude_sq); G past e^700 fits nowhere
-        cutoff = max(math.expm1(min(params.kappa_minus * t, 700.0)) * -math.log(tail),
-                     input_.amplitude_sq) - 1
-        if _fock_bytes(cutoff, n_times) <= have:
-            cutoff = fock_cutoff(params, input_, t, tail)
-    need = _fock_bytes(cutoff, n_times)
+    have = _physical_memory()
+    try:
+        cutoff = fock_cutoff(params, input_, t)
+    except ValueError as exc:
+        return [(key, f"{exc}: no Fock basis that large fits the {have:.3g} bytes of "
+                      "physical memory")]
+    need = _fock_bytes(input_, cutoff, n_times, have)
     return [] if need <= have else [(key, (
-        f"needs at least {need:.3g} bytes (a Fock cutoff of {cutoff:.4g} or more at {n_times} "
-        f"times), more than the {have:.3g} bytes of physical memory"))]
+        f"needs at least {need:.3g} bytes (a Fock cutoff of {cutoff} at {n_times} times), "
+        f"more than the {have:.3g} bytes of physical memory"))]
 
 
 def experiment_defaults(experiment: str) -> dict:
@@ -275,7 +273,7 @@ def validate_config(raw) -> ExperimentConfig:
             if not params.kappa_minus * t > MIN_GAIN_EXPONENT:
                 errors.append((key, f"kappa_minus * t must exceed {MIN_GAIN_EXPONENT:g} "
                                     f"(a gain above 1), got t = {t!r}"))
-        if not errors and "cutoff_s" in resolved:
+        if not errors and experiment in ("dist-converge", "variance-from-dist"):
             errors += _fock_memory(resolved, params, input_)
 
     if errors:

@@ -36,7 +36,13 @@ band to unit trace.
 FockState stores that band, not the (s+1)^2 matrix, so it is Hermitian by
 construction, and the Pegg-Barnett density is one FFT of its offset sums.
 
-No route through this module loads scipy.special: the log-factorials come
+The cutoff is no setting: fock_cutoff, the one cutoff rule, bounds the tails
+of the displaced-thermal output and of the input, and refuses an output whose
+mean photon number reaches 2**53.  _fock_bytes counts the peak bytes
+evolve_density_series holds at a cutoff, so that validation refuses a run too
+large for memory before any Fock array is made.
+
+No route through this module loads scipy: the log-factorials come
 from one table of math.lgamma values, built per call of evolve_density_series,
 and erf is math.erf applied point by point, so the phase densities cost no
 import beyond numpy's.
@@ -185,7 +191,8 @@ def _chernoff_count_cutoff(coherent_part: float, thermal_part: float, tail: floa
     else:
         zeta_max = (1.0 - 1e-10) / thermal_part
     zeta = np.geomspace(1e-8 if zeta_max > 1e-8 else 1e-8 * zeta_max, zeta_max, 4000)
-    log_m = coherent_part * zeta / (1.0 - thermal_part * zeta) - np.log1p(-thermal_part * zeta)
+    with np.errstate(over="ignore"):  # a bound that overflows is +inf, never the minimum
+        log_m = coherent_part * zeta / (1.0 - thermal_part * zeta) - np.log1p(-thermal_part * zeta)
     s_req = (log_m - np.log(tail)) / np.log1p(zeta) - 1.0
     return max(int(np.ceil(s_req.min())), 0)
 
@@ -197,8 +204,18 @@ def fock_cutoff(params: AmplifierParams, input: CoherentInput, t: float, tail: f
     (kappa_up/kappa_minus)(G_t - 1) and coherent part G_t |alpha|^2 — much
     broader than Poisson with the same mean — so the bound is taken on that
     distribution.  The input's own (Poisson) tail is held below 1e-10 and a
-    small floor keeps the phase grid usable at tiny t.
+    small floor keeps the phase grid usable at tiny t.  This is the one cutoff
+    rule; the experiments and the config's memory check use the default tail.
+    ValueError unless 0 < tail < 1 and the output's mean photon number is
+    below 2**53 (at 16 bytes a level, past any memory): no finite input overflows.
     """
+    if not 0 < tail < 1:
+        raise ValueError(f"tail must be in (0, 1), got {tail!r}")
+    x = min(params.kappa_minus * t, 40.0)  # the mean is at least G - 1, past 2**53 from 36.8 on
+    mean = input.amplitude_sq * math.exp(x) + params.noise_ratio * math.expm1(x)
+    if not mean < 2.0**53:
+        raise ValueError(f"the output's mean photon number must be below 2**53 for a Fock cutoff; "
+                         f"got {mean:.3g} at kappa_minus * t = {params.kappa_minus * t:.4g}")
     g = float(gain(params, t))
     s_in = _chernoff_count_cutoff(input.amplitude_sq, 0.0, 1e-10)
     s_out = _chernoff_count_cutoff(
@@ -216,29 +233,49 @@ _BAND_DROP_BELOW = 1e-17  # the smallest input coherence whose offset the band k
 _BAND_MARGIN = 8          # offsets kept beyond those, for the evolution to spread into
 
 
-def _band_kmax(input: CoherentInput, log_fact: np.ndarray, d: int) -> int:
-    """Offsets the truncated, renormalized coherent input populates above
-    _BAND_DROP_BELOW, plus _BAND_MARGIN."""
-    n = np.arange(d)
-    c = np.exp(-input.amplitude_sq / 2 + n * (np.log(input.amplitude_sq) / 2) - log_fact[:d] / 2)
+def _band_kmax(input: CoherentInput, d: int) -> int:
+    """Offsets the coherent input, truncated to d levels and renormalized,
+    populates above _BAND_DROP_BELOW, plus _BAND_MARGIN.
+
+    Searched on the levels inside the input's 1e-36 tail, plus the margin, when
+    d is longer: an amplitude past them is below 1e-18, so it adds no offset.
+    """
+    m = min(d, _chernoff_count_cutoff(input.amplitude_sq, 0.0, 1e-36) + _BAND_MARGIN + 2)
+    log_c = np.arange(m) * (math.log(input.amplitude_sq) / 2) - _log_factorials(m) / 2
+    c = np.exp(log_c - log_c.max())  # normalized in log space: the largest is 1, the sum never 0
     c /= np.sqrt((c**2).sum())
-    for k in range(d):
-        if np.max(c[k:] * c[: d - k]) < _BAND_DROP_BELOW:
+    for k in range(m):
+        if (c[k:] * c[: m - k]).max() < _BAND_DROP_BELOW:
             return min(k + _BAND_MARGIN, d - 1)
     return d - 1
-
-
-def _fock_bytes(cutoff_s: int, n_times: int) -> int:
-    """Bytes evolve_density_series holds at least: 2d - 1 log-factorials and, per
-    time, kmax + 1 >= min(_BAND_MARGIN + 2, d) rows of d ratios and complex band
-    entries, d = cutoff_s + 1 (_band_kmax keeps the diagonal, whose top is >= 1/d)."""
-    d = cutoff_s + 1
-    return 8 * (2 * d - 1) + 24 * n_times * min(_BAND_MARGIN + 2, d) * d
 
 
 # recurrence steps whose coefficients are formed at once; forming them for every
 # n would hold two more (d, times, kmax + 1) arrays
 _RATIO_BLOCK = 64
+# (kmax + 1, d) float64 arrays _output_bands holds besides its results, at
+# most: levels, log_fact_ratio and the inside mask, then one time's log_m,
+# the previous log_band and two partial sums (6.2 measured)
+_BAND_TEMPS = 7
+
+
+def _fock_bytes(input: CoherentInput, cutoff_s: int, n_times: int, limit: float) -> int:
+    """Peak bytes evolve_density_series holds for n_times times at cutoff_s.
+
+    With d = cutoff_s + 1 and rows = kmax + 1: the d + kmax log-factorials,
+    per time rows x d ratios and complex band entries, the last block of
+    recurrence coefficients, the per-time temporaries and numpy's ufunc
+    buffers.  When the count at the floor rows >= min(_BAND_MARGIN + 2, d)
+    already exceeds limit, that count is returned and no table is built.
+    """
+    d = cutoff_s + 1
+
+    def peak(rows: int) -> int:  # the ufunc buffers: 247 kB seen casting a band to complex
+        return 8 * (d + rows - 1) + 8 * rows * (
+            n_times * (3 * d + 2 * _RATIO_BLOCK) + _BAND_TEMPS * d) + 32 * np.getbufsize()
+
+    floor = peak(min(_BAND_MARGIN + 2, d))  # offset 0 is always kept: kmax >= min(9, d - 1)
+    return floor if floor > limit else peak(_band_kmax(input, d) + 1)
 
 
 def _output_bands(params: AmplifierParams, input: CoherentInput, log_fact: np.ndarray, d: int,
@@ -326,8 +363,8 @@ def evolve_density_series(
     if np.any(times < 0):
         raise ValueError("times must be nonnegative")
     d = int(cutoff_s) + 1
-    log_fact = _log_factorials(2 * d - 1)  # up to n + k = 2 (d - 1)
-    kmax = _band_kmax(input, log_fact, d)
+    kmax = _band_kmax(input, d)
+    log_fact = _log_factorials(d + kmax)  # up to n + k = d - 1 + kmax
     out = []
     for t, band in zip(times, _output_bands(params, input, log_fact, d, kmax, times)):
         trace = band[0].real.sum()

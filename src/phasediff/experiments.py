@@ -190,16 +190,9 @@ def _run_inverse_expansion(cfg: ExperimentConfig):
     return {"inverse-expansion.csv": _csv_body(header, cols)}, prov, meta_extra
 
 
-def _dist_cutoff(cfg: ExperimentConfig, t_final: float) -> int:
-    cut = cfg.resolved["cutoff_s"]
-    if cut is None:
-        cut = fock_cutoff(cfg.params, cfg.input, t_final, cfg.resolved["tail_bound"])
-    return int(cut)
-
-
 def _run_dist_converge(cfg: ExperimentConfig):
     times = [float(t) for t in cfg.resolved["times"]]
-    cutoff = _dist_cutoff(cfg, times[-1])
+    cutoff = fock_cutoff(cfg.params, cfg.input, times[-1])
     states = evolve_density_series(cfg.params, cfg.input, cutoff, times)
     phi0 = cfg.input.theta - np.pi
     files, meta_extra = {}, {"cutoff_s": cutoff, "times": times}
@@ -217,7 +210,7 @@ def _run_dist_converge(cfg: ExperimentConfig):
 def _run_variance_from_dist(cfg: ExperimentConfig):
     times = np.linspace(cfg.resolved["t_min"], cfg.resolved["t_max"],
                         cfg.resolved["n_time_points"])
-    cutoff = _dist_cutoff(cfg, float(times[-1]))
+    cutoff = fock_cutoff(cfg.params, cfg.input, float(times[-1]))
     states = evolve_density_series(cfg.params, cfg.input, cutoff, times)
     phi0 = cfg.input.theta - np.pi
     var_pb = np.array([
@@ -263,8 +256,6 @@ def run_experiment(cfg: ExperimentConfig) -> ResultBundle:
     The out directory is made before the run; a ConfigError naming "out" is
     raised when it cannot be made or written.
     """
-    import scipy
-
     try:  # before the run, so that a run with nowhere to write fails at once
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -281,7 +272,6 @@ def run_experiment(cfg: ExperimentConfig) -> ResultBundle:
         "versions": {
             "phasediff": _pkg_version,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "wall_time_s": wall,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

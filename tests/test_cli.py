@@ -1,6 +1,7 @@
 """CLI exit codes: 0 success, 2 validation failure, 3 numerical guard; JSON records on stderr."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import phasediff
 from phasediff.cli import main
+from phasediff.distributions import _fock_bytes
 
 
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -80,6 +82,8 @@ def test_analytic_experiment_ignores_sde_limits(tmp_path, capsys):
         ("number-fan", '{"record_every": 0}', "record_every"),
         ("number-fan", '{"chunk_size": 0}', "chunk_size"),  # an engine constant, not a field
         ("number-fan", '{"config": {"chunk_size": 4096}}', "chunk_size"),  # an older sidecar
+        ("dist-converge", '{"config": {"cutoff_s": null}}', "cutoff_s"),  # the cutoff is
+        ("variance-from-dist", '{"config": {"tail_bound": 1e-10}}', "tail_bound"),  # no field
         ("inverse-expansion", '{"record_every": 0, "floor_epsilon": 0}',
          "floor_epsilon,record_every"),
         ("dist-converge", '{"times": [1e-13, 0.1]}', "times"),
@@ -121,11 +125,10 @@ def test_number_fan_whose_paths_exceed_memory_exits_2(tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize("command, doc, field", [
     # kappa_minus t = 20: the cutoff search used to run past its pole (NaN);
-    # the cutoff is 1.1e10 or more, 1.8e11 bytes of log-factorials alone
+    # the cutoff is 1.1e10 or more, 8.8e10 bytes of log-factorials alone
     ("dist-converge", {"times": [0.1, 20.0]}, "times"),
     ("variance-from-dist", {"t_max": 20.0}, "t_max"),
-    ("dist-converge", {"times": [0.1, 800.0]}, "times"),  # the gain overflows
-    ("variance-from-dist", {"cutoff_s": PHYSICAL_MEMORY // 8}, "cutoff_s"),  # 16 bytes a level
+    ("dist-converge", {"times": [0.1, 800.0]}, "times"),  # past the cutoff rule's domain
 ])
 def test_fock_arrays_beyond_memory_exit_2(tmp_path, capsys, monkeypatch, command, doc, field):
     # refused from the sizes alone, before any Fock array is made
@@ -140,6 +143,26 @@ def test_fock_arrays_beyond_memory_exit_2(tmp_path, capsys, monkeypatch, command
     assert record["error"] == "validation"
     assert [d["field"] for d in record["details"]] == [field]
     assert "physical memory" in record["details"][0]["message"]
+
+
+@pytest.mark.parametrize("command, field, n_times", [
+    ("dist-converge", "times", 2), ("variance-from-dist", "t_max", 16)])
+def test_fock_arrays_just_past_memory_exit_2(tmp_path, capsys, monkeypatch, command, field,
+                                             n_times):
+    # the default run's exact count (4.0 is both defaults' last time): a byte
+    # less memory is refused, that much validates
+    inp = phasediff.CoherentInput(2.25, math.pi)
+    cutoff = phasediff.fock_cutoff(phasediff.AmplifierParams(1.0), inp, 4.0)
+    need = _fock_bytes(inp, cutoff, n_times, math.inf)
+    monkeypatch.setattr(phasediff.config, "_physical_memory", lambda: need - 1)
+    code, _, err = run(capsys, command, "--seed", "1", "--out", str(tmp_path))
+    assert code == 2
+    record = json.loads(err)
+    assert [d["field"] for d in record["details"]] == [field]
+    assert f"needs at least {need:.3g} bytes" in record["details"][0]["message"]
+    assert "physical memory" in record["details"][0]["message"]
+    monkeypatch.setattr(phasediff.config, "_physical_memory", lambda: need)
+    phasediff.validate_config({"experiment": command, "master_seed": 1})
 
 
 @pytest.mark.parametrize("command", ["variance-compare", "inverse-expansion"])
@@ -184,13 +207,14 @@ def test_inverse_expansion_records_truncation_share(tmp_path, capsys, order, fla
 
 
 def test_guard_trip_exits_3(tmp_path, capsys):
-    config = write(tmp_path, "cfg.json", '{"cutoff_s": 8, "times": [4.0]}')
-    code, _, err = run(capsys, "dist-converge", "--config", config, "--seed", "1",
+    # a floor this high aborts most trajectories, past the abort-fraction limit
+    config = write(tmp_path, "cfg.json", '{"n_traj": 20, "floor_epsilon": 2.9}')
+    code, _, err = run(capsys, "number-fan", "--config", config, "--seed", "1",
                        "--out", str(tmp_path))
     assert code == 3
     record = json.loads(err)
     assert record["error"] == "numerical-guard"
-    assert "top Fock level" in record["message"]
+    assert "16/20 trajectories tripped the positivity guard" in record["message"]
 
 
 def test_warnings_go_into_the_failure_record(tmp_path, capsys):
@@ -228,10 +252,11 @@ def test_unwritable_out_exits_2(tmp_path, capsys, blocker):
     assert "directory" in record["details"][0]["message"]
 
 
-def test_cold_start_imports_scipy_special_only_for_phase_densities(tmp_path):
-    # a fresh interpreter, so that no other test has imported scipy.special
-    # already; every experiment runs, the phase densities included, and none
-    # loads it (the package takes erf and the log-factorials from math)
+def test_cold_start_never_imports_scipy(tmp_path):
+    # a fresh interpreter, so that no other test has imported scipy already;
+    # every experiment runs, the phase densities included, and none loads it
+    # (the package takes erf and the log-factorials from math, and its
+    # sidecars record no scipy version)
     script = textwrap.dedent("""
         import json, sys
         import phasediff, phasediff.cli
@@ -254,7 +279,7 @@ def test_cold_start_imports_scipy_special_only_for_phase_densities(tmp_path):
                 json.dump(fields, f)
             assert phasediff.cli.main([name, "--config", f"{out}/{name}.json",
                                        "--seed", "1", "--out", out]) == 0, name
-        assert "scipy.special" not in sys.modules
+        assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
     """)
     src = str(Path(phasediff.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],

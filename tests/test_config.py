@@ -18,10 +18,9 @@ SCHEMAS = {
     "snr-input": AMPLIFIER + ["n0_list", "t_max", "n_time_points"] + RUN,
     "snr-nonideal": ["amplitude_sq", "nonideal_pairs", "t_max", "n_time_points",
                      "input_grid_max", "input_grid_points"] + RUN,
-    "dist-converge": AMPLIFIER + ["amplitude_sq", "theta", "cutoff_s", "tail_bound",
-                                  "times"] + RUN,
-    "variance-from-dist": AMPLIFIER + ["amplitude_sq", "theta", "cutoff_s", "tail_bound",
-                                       "t_min", "t_max", "n_time_points"] + RUN,
+    "dist-converge": AMPLIFIER + ["amplitude_sq", "theta", "times"] + RUN,
+    "variance-from-dist": AMPLIFIER + ["amplitude_sq", "theta", "t_min", "t_max",
+                                       "n_time_points"] + RUN,
 }
 
 # seconds-long configs, one per registered experiment
@@ -45,7 +44,7 @@ def test_schema_holds_the_fields_the_experiment_reads(experiment):
 
 def test_schemas_cover_every_experiment():
     assert sorted(SCHEMAS) == sorted(SMALL) == sorted(list_experiments())
-    assert sum(len(fields) for fields in SCHEMAS.values()) == 71
+    assert sum(len(fields) for fields in SCHEMAS.values()) == 67
 
 
 def test_analytic_objects_built_only_from_their_fields():

@@ -1,6 +1,8 @@
 """Fock-space output state and phase densities against RK4, offset-sum and closed-form oracles."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,14 @@ from phasediff import (
     pegg_barnett_distribution,
     photon_variance,
 )
-from phasediff.distributions import _check_band, _chernoff_count_cutoff, _erf, _log_factorials
+from phasediff.distributions import (
+    _band_kmax,
+    _check_band,
+    _chernoff_count_cutoff,
+    _erf,
+    _fock_bytes,
+    _log_factorials,
+)
 
 IDEAL_1 = AmplifierParams(1.0, 0.0)
 LOSSY = AmplifierParams(1.0, 0.3)
@@ -212,6 +221,26 @@ class TestPhotonStatistics:
         exact = math.ceil(math.log(1e10) / math.log1p(1.0 / thermal)) - 1
         assert exact <= s <= 1.2 * exact
 
+    @pytest.mark.parametrize("t, amplitude_sq", [(700.0, 2.25), (709.0, 2.25), (800.0, 2.25),
+                                                 (1.0, 1e300)])
+    def test_fock_cutoff_refuses_a_mean_past_its_domain(self, t, amplitude_sq):
+        # these used to warn of overflow, or raise OverflowError at t = 709
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"below 2\*\*53"):
+                fock_cutoff(IDEAL_1, CoherentInput(amplitude_sq), t)
+
+    def test_fock_cutoff_is_quiet_inside_its_domain(self):
+        inp = CoherentInput(2.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # a thermal part of 1e-300: its Chernoff grid reaches 1e300, where the bound overflows
+            assert fock_cutoff(IDEAL_1, inp, 1e-300) == fock_cutoff(IDEAL_1, inp, 0.0)
+            assert fock_cutoff(IDEAL_1, inp, 35.0) > 1e16  # mean 5.1e15
+        for tail in (0.0, 1.0):
+            with pytest.raises(ValueError, match="tail"):
+                fock_cutoff(IDEAL_1, inp, 1.0, tail)
+
 
 class TestGuards:
     def test_small_cutoff_trips_top_population_guard(self):
@@ -228,6 +257,14 @@ class TestGuards:
             evolve(IDEAL_1, inp, s, 2.0)
         evolve(IDEAL_1, inp, fock_cutoff(IDEAL_1, inp, 2.0), 2.0)
 
+    def test_input_past_a_small_cutoff_trips_the_guard_quietly(self):
+        # levels 0..48 of an amplitude_sq 1000 input all underflow as plain
+        # amplitudes; normalized in log space they give kmax, not 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GuardTripError, match="top Fock level"):
+                evolve_density_series(IDEAL_1, CoherentInput(1000.0), 48, [0.5])
+
     def test_band_edge_guard(self):
         band = np.zeros((6, 20), dtype=complex)
         band[0, 0] = 1.0
@@ -239,6 +276,42 @@ class TestGuards:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             evolve_density_series(IDEAL_1, CoherentInput(1.0), 40, [0.1, -0.1])
+
+
+def whole_table_kmax(input, d):
+    """_band_kmax's rule on all d levels, with scipy's gammaln."""
+    n = np.arange(d)
+    log_c = n * math.log(input.amplitude_sq) / 2 - gammaln(n + 1.0) / 2
+    c = np.exp(log_c - log_c.max())
+    c /= np.sqrt((c**2).sum())
+    for k in range(d):
+        if np.max(c[k:] * c[: d - k]) < 1e-17:
+            return min(k + 8, d - 1)
+    return d - 1
+
+
+class TestBandSize:
+    @pytest.mark.parametrize("amplitude_sq", [0.05, 1.01, 2.25, 30.0, 1000.0])
+    def test_kmax_from_the_input_support_matches_the_whole_table(self, amplitude_sq):
+        inp = CoherentInput(amplitude_sq)
+        s_in = _chernoff_count_cutoff(amplitude_sq, 0.0, 1e-10)
+        for d in (10, 49, s_in + 1, 2 * s_in, 20_000):
+            assert _band_kmax(inp, d) == whole_table_kmax(inp, d), d
+
+    @pytest.mark.parametrize("amplitude_sq, kmax", [(2.25, 47), (6.0, 62), (30.0, 110)])
+    def test_byte_count_bounds_the_traced_peak(self, amplitude_sq, kmax):
+        inp = CoherentInput(amplitude_sq, np.pi)
+        times = np.linspace(0.1, 4.0, 16)
+        cutoff = fock_cutoff(IDEAL_1, inp, 4.0)
+        tracemalloc.start()
+        try:
+            states = evolve_density_series(IDEAL_1, inp, cutoff, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert states[0].band.shape == (kmax + 1, cutoff + 1)
+        count = _fock_bytes(inp, cutoff, len(times), math.inf)
+        assert peak <= count <= 1.15 * peak
 
 
 class TestFockState:

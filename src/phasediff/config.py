@@ -5,7 +5,8 @@ field the experiment reads, with its default, and no other field.  Schemas are
 assembled from small groups (amplifier rates, SDE integration) plus the run
 fields master_seed (required) and out.  A field outside the experiment's
 schema is rejected, so an older sidecar that sets a removed field (chunk_size,
-cutoff_s, tail_bound) exits with a validation error.  The resolved document
+cutoff_s, tail_bound, or the cap on guard trips per trajectory: any floor
+contact aborts one) exits with a validation error.  The resolved document
 (defaults merged with the user's keys) is echoed into the run metadata so the
 metadata alone pins the run.  Validation is aggregated: all problems are
 reported at once, each naming its field.
@@ -52,7 +53,6 @@ _SDE = {
     "t_max": 6.0,
     "n_traj": 500,
     "floor_epsilon": 1e-6,
-    "max_guard_trips": 0,
     "record_every": 10,
 }
 _RUN = {"master_seed": None, "out": "results"}  # master_seed is required
@@ -122,7 +122,6 @@ _CHECKS = {
     "t_min": (_number, "a number"),
     "n_traj": (lambda v: _integer(v) and v >= 2, "an integer >= 2"),  # statistics need two
     "floor_epsilon": _POSITIVE,
-    "max_guard_trips": (lambda v: _integer(v) and v >= 0, "an integer >= 0"),
     "record_every": _COUNT,
     "expansion_order": _COUNT,
     "n_time_points": _COUNT,

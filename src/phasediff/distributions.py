@@ -254,25 +254,25 @@ def _band_kmax(input: CoherentInput, d: int) -> int:
 # n would hold two more (d, times, kmax + 1) arrays
 _RATIO_BLOCK = 64
 # (kmax + 1, d) float64 arrays _output_bands holds besides its results, at
-# most: levels, log_fact_ratio and the inside mask, then one time's log_m,
-# the previous log_band and two partial sums (6.2 measured)
-_BAND_TEMPS = 7
+# most: levels, log_fact_ratio and the inside mask, then one time's log M_n
+# and two partial sums of its log band, or that band and exp/where (5.2 measured)
+_BAND_TEMPS = 6
 
 
 def _fock_bytes(input: CoherentInput, cutoff_s: int, n_times: int, limit: float) -> int:
     """Peak bytes evolve_density_series holds for n_times times at cutoff_s.
 
     With d = cutoff_s + 1 and rows = kmax + 1: the d + kmax log-factorials,
-    per time rows x d ratios and complex band entries, the last block of
-    recurrence coefficients, the per-time temporaries and numpy's ufunc
-    buffers.  When the count at the floor rows >= min(_BAND_MARGIN + 2, d)
-    already exceeds limit, that count is returned and no table is built.
+    per time rows x d ratios and complex band entries, the per-time
+    temporaries and numpy's ufunc buffers.  When the count at the floor
+    rows >= min(_BAND_MARGIN + 2, d) already exceeds limit, that count is
+    returned and no table is built.
     """
     d = cutoff_s + 1
 
     def peak(rows: int) -> int:  # the ufunc buffers: 247 kB seen casting a band to complex
-        return 8 * (d + rows - 1) + 8 * rows * (
-            n_times * (3 * d + 2 * _RATIO_BLOCK) + _BAND_TEMPS * d) + 32 * np.getbufsize()
+        return (8 * (d + rows - 1) + 8 * rows * d * (3 * n_times + _BAND_TEMPS)
+                + 32 * np.getbufsize())
 
     floor = peak(min(_BAND_MARGIN + 2, d))  # offset 0 is always kept: kmax >= min(9, d - 1)
     return floor if floor > limit else peak(_band_kmax(input, d) + 1)
@@ -308,6 +308,7 @@ def _output_bands(params: AmplifierParams, input: CoherentInput, log_fact: np.nd
             np.divide(second, ratios[n], out=step)
             np.subtract(first, step, out=step)
             np.divide(step, n + 1, out=ratios[n + 1])
+    firsts = seconds = first = second = None  # the last block would outlive the loop
 
     n = np.arange(d)
     kk = k[0][:, None]
@@ -319,10 +320,11 @@ def _output_bands(params: AmplifierParams, input: CoherentInput, log_fact: np.nd
     phase = np.exp(1j * kk * input.theta)
     bands = np.empty((len(times), kmax + 1, d), dtype=complex)
     for i in range(len(times)):
-        log_m = np.log(ratios[:, i])
-        np.cumsum(log_m, axis=0, out=log_m)
+        # one name: log M_n goes once the band is formed, the last band before it
+        log_band = np.log(ratios[:, i])
+        np.cumsum(log_band, axis=0, out=log_band)
         log_band = (
-            log_m.T
+            log_band.T
             - levels * log1p_nbar[i]
             + log_fact_ratio
             + kk * half_log_beta_sq[i]

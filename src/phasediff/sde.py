@@ -16,12 +16,12 @@ Pebay's for M3 and M4).  The statistics therefore depend on the paths alone,
 not on the worker count, the batch width or the CPU count.  The workers are
 their one production route: ensemble_stats reads the roots they leave and
 never reduces a stored path.  They are sample statistics conditional on no
-floor contact: aborted trajectories are excluded, and a trajectory that
-touched the floor is not a sample of the unclamped process.  That is also
-what makes them finite.  N(t) has density e^-eta / nbar > 0 at N = 0 for
-t > 0, so E[1/N(t)] = infinity, and so is the unwrapped phase variance; only
-the floor and the abort rule keep the sample moments of 1/N and of the phase
-finite.
+floor contact: any contact aborts a trajectory and excludes it, because a
+trajectory that touched the floor is not a sample of the unclamped process.
+That is also what makes them finite.  N(t) has density e^-eta / nbar > 0
+at N = 0 for t > 0, so E[1/N(t)] = infinity, and so is the unwrapped phase
+variance; only the floor and the abort rule keep the sample moments of 1/N
+and of the phase finite.
 
 Engine: the tiles are split into contiguous ranges by
 phasediff._fork.run_ranges, which picks the number of ranges (at most one per
@@ -92,17 +92,17 @@ class SdeConfig:
     floor_epsilon is the positivity floor: photon numbers are clamped to it
     (and the reciprocal process is additionally capped at 1/floor_epsilon,
     which is the same breakdown seen from the other side).  Every clamp counts
-    as a guard trip; a trajectory with more than max_guard_trips trips is
-    marked aborted.  The default of zero aborts on first contact: a clamped
-    path is an integrator overshoot into the region where 1/N moments diverge,
-    and keeping it silently would bias every statistic built on the ensemble.
+    as a guard trip, and a trajectory with any guard trip is aborted: a
+    clamped path is an integrator overshoot into the region where 1/N moments
+    diverge, and keeping it would bias every statistic built on the ensemble.
 
     chunk_size is the engine's batch width, a class constant no caller sets;
     it bounds each worker's buffers and changes no sampled value.
     The engine picks its worker count itself (see the module docstring); no
     field sets it, and no worker count changes a sampled value either.
-    record_every only thins the stored grid.  A grid whose step mask, recorded
-    times and guard counts alone would not fit in physical memory is refused
+    n_traj, record_every and master_seed are ints (not bools); record_every
+    only thins the stored grid.  A grid whose step mask, recorded times and
+    guard counts alone would not fit in physical memory is refused
     (phasediff.config checks the stored paths, knowing what a run stores).
     Every step draws exactly two normals per trajectory (number noise, then
     phase noise), each scaled by sqrt(dt).
@@ -113,7 +113,6 @@ class SdeConfig:
     n_traj: int
     master_seed: int
     floor_epsilon: float = 1e-6
-    max_guard_trips: int = 0
     record_every: int = 1
     chunk_size: ClassVar[int] = 4096
 
@@ -128,16 +127,14 @@ class SdeConfig:
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(
                 f"t_max must be a whole number of steps dt, got t_max/dt = {steps!r}")
-        if self.n_traj < 1:
-            raise ValueError(f"n_traj must be >= 1, got {self.n_traj}")
-        if not 0 <= int(self.master_seed) < 2**64:
-            raise ValueError("master_seed must fit in 64 bits")
+        for name, low, high, bounds in (("n_traj", 1, math.inf, ">= 1"),
+                                        ("record_every", 1, math.inf, ">= 1"),
+                                        ("master_seed", 0, 2**64, "in [0, 2**64)")):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or not low <= v < high:
+                raise ValueError(f"{name} must be an int {bounds}, got {v!r}")
         if not self.floor_epsilon > 0:
             raise ValueError("floor_epsilon must be > 0")
-        for name in ("max_guard_trips", "record_every"):
-            v = getattr(self, name)
-            if v != int(v) or (v < 0 if name == "max_guard_trips" else v < 1):
-                raise ValueError(f"{name} must be a {'non-negative' if name == 'max_guard_trips' else 'positive'} integer, got {v}")
         # every run holds _integrate's step mask (a byte per step), the recorded
         # grid and the guard counts (8 bytes per entry), whatever it stores
         need = self.n_steps + 1 + 8 * (self.n_recorded + self.n_traj)
@@ -171,6 +168,7 @@ class TrajectoryEnsemble:
     A path field is None unless the simulation stored that variable; moments
     maps each variable the simulation reduced to the root of its tile tree
     (see the module docstring); ensemble_stats reads those, never the paths.
+    Any guard trip aborts a trajectory: aborted is guard_counts > 0.
 
     Phases are accumulated unwrapped (no modular reduction): the distribution
     stays single-peaked in this regime, and unwrapped accumulation is what the
@@ -179,7 +177,6 @@ class TrajectoryEnsemble:
 
     times: np.ndarray
     guard_counts: np.ndarray               # clamp events per trajectory
-    aborted: np.ndarray                    # guard_counts > max_guard_trips
     n_paths: np.ndarray | None = None
     phi_paths: np.ndarray | None = None
     upsilon_paths: np.ndarray | None = None
@@ -189,6 +186,10 @@ class TrajectoryEnsemble:
     @property
     def n_traj(self) -> int:
         return len(self.guard_counts)
+
+    @property
+    def aborted(self) -> np.ndarray:
+        return self.guard_counts > 0
 
     def variables(self) -> dict[str, np.ndarray]:
         paths = {"n": self.n_paths, "phi": self.phi_paths, "upsilon": self.upsilon_paths}
@@ -231,7 +232,7 @@ def _noise_blocks(config: SdeConfig, start: int, stop: int, report, columns: int
     width = stop - start
     n_steps = config.n_steps
     scale = np.sqrt(config.dt)
-    seed = int(config.master_seed)
+    seed = config.master_seed
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(start, stop)]
     b_max = min(_BLOCK_STEPS, n_steps)
     buffer = _mapped(b_max, columns, width)
@@ -277,7 +278,7 @@ def _integrate(params, input, config, stepper, names, noise_columns, store, redu
             blocks = _noise_blocks(config, start, stop, report, noise_columns)
             stepper(params, input, config, blocks, rec_mask,
                     [recorded.get(name) for name in names], guard_counts[rows])
-            kept = guard_counts[rows] <= config.max_guard_trips
+            kept = guard_counts[rows] == 0
             for name in reduced:
                 _reduce_rows(recorded[name], kept, start // _TILE, trees[name], n_tiles)
         return trees
@@ -292,8 +293,7 @@ def _integrate(params, input, config, stepper, names, noise_columns, store, redu
             for (level, i), node in nodes.items():
                 _insert(trees[name], level, i, node, n_tiles)
     return TrajectoryEnsemble(
-        times=ks * config.dt, guard_counts=guard_counts,
-        aborted=guard_counts > config.max_guard_trips, config=config,
+        times=ks * config.dt, guard_counts=guard_counts, config=config,
         moments={name: _root(tree) for name, tree in trees.items()},
         **{f"{name}_paths": p for name, p in paths.items()},
     )

@@ -1,5 +1,6 @@
 """The package's public names: growth or loss shows up here, in review."""
 
+import dataclasses
 import inspect
 
 import phasediff
@@ -41,3 +42,9 @@ def test_simulator_options_are_pinned():
             "params", "input", "config"]
         assert {p.name: p.default for p in parameters if p.kind is p.KEYWORD_ONLY} == {
             "store": names, "reduce": names}
+
+
+def test_sde_config_fields_are_pinned():
+    # the batch width is a class constant, and any guard trip aborts: neither is a field
+    assert [f.name for f in dataclasses.fields(phasediff.SdeConfig)] == [
+        "dt", "t_max", "n_traj", "master_seed", "floor_epsilon", "record_every"]

@@ -78,10 +78,10 @@ def test_analytic_experiment_ignores_sde_limits(tmp_path, capsys):
         ("variance-compare", '{"n_traj": 1}', "n_traj"),
         ("inverse-expansion", '{"n_traj": 1}', "n_traj"),
         ("number-fan", '{"floor_epsilon": 0}', "floor_epsilon"),
-        ("number-fan", '{"max_guard_trips": -1}', "max_guard_trips"),
         ("number-fan", '{"record_every": 0}', "record_every"),
         ("number-fan", '{"chunk_size": 0}', "chunk_size"),  # an engine constant, not a field
         ("number-fan", '{"config": {"chunk_size": 4096}}', "chunk_size"),  # an older sidecar
+        ("number-fan", '{"config": {"max_guard_trips": 0}}', "max_guard_trips"),  # any trip aborts
         ("dist-converge", '{"config": {"cutoff_s": null}}', "cutoff_s"),  # the cutoff is
         ("variance-from-dist", '{"config": {"tail_bound": 1e-10}}', "tail_bound"),  # no field
         ("inverse-expansion", '{"record_every": 0, "floor_epsilon": 0}',

@@ -8,7 +8,7 @@ from phasediff import ConfigError, experiment_defaults, list_experiments, run_ex
 from phasediff import validate_config
 
 AMPLIFIER = ["kappa_up", "kappa_down"]
-SDE = ["dt", "t_max", "n_traj", "floor_epsilon", "max_guard_trips", "record_every"]
+SDE = ["dt", "t_max", "n_traj", "floor_epsilon", "record_every"]
 RUN = ["master_seed", "out"]
 
 SCHEMAS = {
@@ -44,7 +44,7 @@ def test_schema_holds_the_fields_the_experiment_reads(experiment):
 
 def test_schemas_cover_every_experiment():
     assert sorted(SCHEMAS) == sorted(SMALL) == sorted(list_experiments())
-    assert sum(len(fields) for fields in SCHEMAS.values()) == 67
+    assert sum(len(fields) for fields in SCHEMAS.values()) == 64
 
 
 def test_analytic_objects_built_only_from_their_fields():

@@ -15,33 +15,27 @@ from phasediff import _fork, experiments
 from phasediff.experiments import _check_aborts, _csv_body
 
 
-def ensemble(aborted, guard_counts):
-    return TrajectoryEnsemble(
-        times=np.linspace(0.0, 1.0, 3),
-        guard_counts=np.asarray(guard_counts),
-        aborted=np.asarray(aborted, dtype=bool),
-    )
+def ensemble(guard_counts):
+    return TrajectoryEnsemble(times=np.linspace(0.0, 1.0, 3), guard_counts=np.asarray(guard_counts))
 
 
 class TestAbortGuard:
     def test_share_at_the_limit_is_recorded(self):
-        aborted = np.zeros(50, dtype=bool)
-        aborted[[3, 17, 21, 40, 49]] = True  # 5/50 = exactly 10%
-        counts = np.where(aborted, 2, 0)
-        counts[8] = 1  # clamped but not aborted
+        counts = np.zeros(50, dtype=int)
+        counts[[3, 17, 21, 40, 49]] = 2  # 5/50 = exactly 10%
         metadata = {}
-        _check_aborts(ensemble(aborted, counts), metadata)
+        _check_aborts(ensemble(counts), metadata)
         assert metadata == {
             "aborted_trajectories": 5,
             "aborted_indices": [3, 17, 21, 40, 49],
-            "guard_trips_total": 11,
+            "guard_trips_total": 10,
         }
 
     def test_share_above_the_limit_raises(self):
-        aborted = np.zeros(50, dtype=bool)
-        aborted[:6] = True
+        counts = np.zeros(50, dtype=int)
+        counts[:6] = 1
         with pytest.raises(GuardTripError, match="6/50 trajectories"):
-            _check_aborts(ensemble(aborted, aborted.astype(int)), {})
+            _check_aborts(ensemble(counts), {})
 
 
 def csv_body_by_cell(header, columns):

@@ -65,3 +65,16 @@ def test_a_child_that_sends_no_result_makes_the_call_raise(monkeypatch):
     monkeypatch.setattr(_fork, "_WORKERS", 2)
     with pytest.raises(RuntimeError, match=r"items 1-1 died \(exit status 0\)"):
         _fork.run_ranges(lambda lo, hi, report: os._exit(0) if lo else None, 2, 1)
+
+
+def test_without_fork_every_range_runs_in_the_calling_process(monkeypatch):
+    monkeypatch.setattr(_fork, "_WORKERS", 3)
+    pid = lambda lo, hi, report: os.getpid()
+    assert os.getpid() not in _fork.run_ranges(pid, 9, 1)
+    forked = [_fork.run_ranges(fn, 9, 1) for fn in RESULTS]
+    monkeypatch.delattr(os, "fork")
+    assert _fork.run_ranges(pid, 9, 1) == [os.getpid()] * 3
+    for fn, want in zip(RESULTS, forked):
+        got = _fork.run_ranges(fn, 9, 1)
+        assert [type(r) for r in got] == [type(r) for r in want]
+        np.testing.assert_equal(got, want)

@@ -36,11 +36,21 @@ band to unit trace.
 FockState stores that band, not the (s+1)^2 matrix, so it is Hermitian by
 construction, and the Pegg-Barnett density is one FFT of its offset sums.
 
+The bands of all requested times are one complex (times, kmax + 1, d) array,
+and the recurrence's ratios M_n / M_(n-1) live in the second half of its
+float storage, time-major as (times, d, kmax + 1).  In blocks of
+(kmax + 1) d floats, band i fills blocks 2i and 2i + 1 and time j's ratios
+fill block times + j, so band i covers only the ratios of times j <= i.  The
+bands are formed in ascending time order, each after its own time's ratios
+are read, so no ratio is overwritten before it is used, and the run holds
+little beyond its results.
+
 The cutoff is no setting: fock_cutoff, the one cutoff rule, bounds the tails
 of the displaced-thermal output and of the input, and refuses an output whose
 mean photon number reaches 2**53.  _fock_bytes counts the peak bytes
-evolve_density_series holds at a cutoff, so that validation refuses a run too
-large for memory before any Fock array is made.
+evolve_density_series holds at a cutoff (the bands, and the larger of the
+recurrence's and the band formation's working sets), so that validation
+refuses a run too large for memory before any Fock array is made.
 
 No route through this module loads scipy: the log-factorials come
 from one table of math.lgamma values, built per call of evolve_density_series,
@@ -50,11 +60,13 @@ import beyond numpy's.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GuardTripError
 from .moments import gain
@@ -178,6 +190,18 @@ class PhaseDensity:
         return float(self.phi_grid[1] - self.phi_grid[0])
 
 
+@functools.cache
+def _free_zeta_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The zeta grid of every thermal part below 1e-300 (the input's, and the
+    output's at t = 0) and its log1p, read-only: formed on first use, not at
+    import, since np.geomspace's first call adds 0.5 MB to a process's RSS.
+    """
+    zeta = np.geomspace(1e-8, 1e4, 4000)
+    log1p_zeta = np.log1p(zeta)
+    zeta.flags.writeable = log1p_zeta.flags.writeable = False
+    return zeta, log1p_zeta
+
+
 def _chernoff_count_cutoff(coherent_part: float, thermal_part: float, tail: float) -> int:
     """Smallest s with P(X > s) <= tail for a displaced-thermal photon count.
 
@@ -187,13 +211,14 @@ def _chernoff_count_cutoff(coherent_part: float, thermal_part: float, tail: floa
     or from 1e-8 of its end once the pole is that near (thermal part > ~1e8).
     """
     if thermal_part < 1e-300:
-        zeta_max = 1e4
+        zeta, log1p_zeta = _free_zeta_grid()
     else:
         zeta_max = (1.0 - 1e-10) / thermal_part
-    zeta = np.geomspace(1e-8 if zeta_max > 1e-8 else 1e-8 * zeta_max, zeta_max, 4000)
+        zeta = np.geomspace(1e-8 if zeta_max > 1e-8 else 1e-8 * zeta_max, zeta_max, 4000)
+        log1p_zeta = np.log1p(zeta)
     with np.errstate(over="ignore"):  # a bound that overflows is +inf, never the minimum
         log_m = coherent_part * zeta / (1.0 - thermal_part * zeta) - np.log1p(-thermal_part * zeta)
-    s_req = (log_m - np.log(tail)) / np.log1p(zeta) - 1.0
+    s_req = (log_m - np.log(tail)) / log1p_zeta - 1.0
     return max(int(np.ceil(s_req.min())), 0)
 
 
@@ -253,26 +278,26 @@ def _band_kmax(input: CoherentInput, d: int) -> int:
 # recurrence steps whose coefficients are formed at once; forming them for every
 # n would hold two more (d, times, kmax + 1) arrays
 _RATIO_BLOCK = 64
-# (kmax + 1, d) float64 arrays _output_bands holds besides its results, at
-# most: levels, log_fact_ratio and the inside mask, then one time's log M_n
-# and two partial sums of its log band, or that band and exp/where (5.2 measured)
-_BAND_TEMPS = 6
 
 
 def _fock_bytes(input: CoherentInput, cutoff_s: int, n_times: int, limit: float) -> int:
     """Peak bytes evolve_density_series holds for n_times times at cutoff_s.
 
-    With d = cutoff_s + 1 and rows = kmax + 1: the d + kmax log-factorials,
-    per time rows x d ratios and complex band entries, the per-time
-    temporaries and numpy's ufunc buffers.  When the count at the floor
-    rows >= min(_BAND_MARGIN + 2, d) already exceeds limit, that count is
-    returned and no table is built.
+    With d = cutoff_s + 1 and rows = kmax + 1: the d + kmax log-factorials and
+    the complex bands, which also hold the ratios, then the larger of the two
+    working sets of _output_bands and numpy's ufunc buffers.  The recurrence
+    holds one _RATIO_BLOCK of coefficients (firsts and seconds) and the
+    working row and step, n_times x rows each; the band formation holds
+    log_fact_ratio and the log-band scratch, rows x d each.  When the count at
+    the floor rows >= min(_BAND_MARGIN + 2, d) already exceeds limit, that
+    count is returned and no table is built.
     """
     d = cutoff_s + 1
+    block = max(min(_RATIO_BLOCK, d - 2), 0)
 
-    def peak(rows: int) -> int:  # the ufunc buffers: 247 kB seen casting a band to complex
-        return (8 * (d + rows - 1) + 8 * rows * d * (3 * n_times + _BAND_TEMPS)
-                + 32 * np.getbufsize())
+    def peak(rows: int) -> int:  # the ufunc buffers: up to 160 kB seen forming a band
+        return (8 * (d + rows - 1) + 16 * n_times * rows * d
+                + 16 * max(n_times * rows * (block + 1), rows * d) + 32 * np.getbufsize())
 
     floor = peak(min(_BAND_MARGIN + 2, d))  # offset 0 is always kept: kmax >= min(9, d - 1)
     return floor if floor > limit else peak(_band_kmax(input, d) + 1)
@@ -282,55 +307,69 @@ def _output_bands(params: AmplifierParams, input: CoherentInput, log_fact: np.nd
                   kmax: int, times: np.ndarray) -> np.ndarray:
     """Untruncated output bands B[i, k, n] = rho[n+k, n](times[i]), zero past the cutoff.
 
-    log_fact[j] = log j! for j <= d - 1 + kmax.  The recurrence runs for all
-    times at once; the rest runs one time at a time, so its temporaries are
-    one time's (kmax + 1, d) arrays.
+    log_fact[j] = log j! for j <= d - 1 + kmax.  The ratios M_n / M_(n-1) are
+    held in the second half of the bands' own float storage, laid out
+    (times, d, kmax + 1), and the recurrence runs for all times at once.
+    Band i is then formed in ascending time order: time i's log ratios go into
+    one (kmax + 1, d) scratch before band i is written, and band i covers only
+    the ratios of times <= i, so no ratio is overwritten before it is read.
     """
+    n_times, rows = len(times), kmax + 1
+    bands = np.empty((n_times, rows, d), dtype=complex)
+    # in blocks of rows d floats, band i fills blocks 2i and 2i + 1 and time j's
+    # ratios block n_times + j: band i overwrites the ratios of times <= i only
+    ratios = bands.reshape(-1).view(float)[n_times * rows * d:].reshape(n_times, d, rows)
     t = times[:, None]
     nbar = params.noise_ratio * np.expm1(params.kappa_minus * t)
     beta_sq = gain(params, t) * input.amplitude_sq
     y = beta_sq / (1.0 + nbar)
-    k = np.arange(kmax + 1)[None, :]
+    k = np.arange(rows)[None, :]
     # ratios M_n / M_(n-1) of M_n = nbar^n L_n^(k)(-y/nbar), from
     # (n+1) M_(n+1) = ((2n+1+k) nbar + y) M_n - (n+k) nbar^2 M_(n-1);
     # M_n > 0 and it is the dominant solution, so the forward recurrence is stable;
-    # each step does the formula's floating-point operations in its order
-    ratios = np.ones((d, len(times), kmax + 1))
+    # each step does the formula's floating-point operations in its order, on a
+    # contiguous working row that is then copied into place
+    ratios[:, 0] = 1.0
+    row = (1 + k) * nbar + y
     if d > 1:
-        ratios[1] = (1 + k) * nbar + y
+        ratios[:, 1] = row
     nbar_sq = nbar**2
-    step = np.empty_like(ratios[0])
+    step = np.empty_like(row)
     for n0 in range(1, d - 1, _RATIO_BLOCK):
         ns = np.arange(n0, min(n0 + _RATIO_BLOCK, d - 1))
         firsts = (2 * ns[:, None, None] + 1 + k) * nbar + y
         seconds = (ns[:, None, None] + k) * nbar_sq
         for n, first, second in zip(ns.tolist(), firsts, seconds):
-            np.divide(second, ratios[n], out=step)
+            np.divide(second, row, out=step)
             np.subtract(first, step, out=step)
-            np.divide(step, n + 1, out=ratios[n + 1])
-    firsts = seconds = first = second = None  # the last block would outlive the loop
+            np.divide(step, n + 1, out=row)
+            ratios[:, n + 1] = row
+        del firsts, seconds, first, second  # before the next block is formed
 
-    n = np.arange(d)
+    # (rows, d) views whose entry [k, n] is v[n + k]: n + k + 1, n + k >= d, log (n + k)!
+    levels = sliding_window_view(np.arange(1.0, d + rows), d)
+    outside = sliding_window_view(np.arange(d + kmax) >= d, d)
+    log_fact_ratio = log_fact[:d] - sliding_window_view(log_fact, d)
+    log_fact_ratio *= 0.5
     kk = k[0][:, None]
-    levels = n + kk + 1
-    log_fact_ratio = 0.5 * (log_fact[n] - log_fact[n + kk])
     log1p_nbar = np.log1p(nbar)
     half_log_beta_sq = 0.5 * np.log(beta_sq)
-    inside = n + kk < d
     phase = np.exp(1j * kk * input.theta)
-    bands = np.empty((len(times), kmax + 1, d), dtype=complex)
-    for i in range(len(times)):
-        # one name: log M_n goes once the band is formed, the last band before it
-        log_band = np.log(ratios[:, i])
-        np.cumsum(log_band, axis=0, out=log_band)
-        log_band = (
-            log_band.T
-            - levels * log1p_nbar[i]
-            + log_fact_ratio
-            + kk * half_log_beta_sq[i]
-            - y[i]
-        )
-        np.multiply(np.where(inside, np.exp(log_band), 0.0), phase, out=bands[i])
+    log_band = np.empty((rows, d))
+    for i in range(n_times):
+        # log M_n in time i's own ratio storage, then the log band in the scratch:
+        # both before band i is written over them
+        np.log(ratios[i], out=ratios[i])
+        np.cumsum(ratios[i], axis=0, out=ratios[i])
+        np.multiply(levels, log1p_nbar[i], out=log_band)
+        np.subtract(ratios[i].T, log_band, out=log_band)
+        np.add(log_band, log_fact_ratio, out=log_band)
+        np.add(log_band, kk * half_log_beta_sq[i], out=log_band)
+        np.subtract(log_band, y[i], out=log_band)
+        np.exp(log_band, out=log_band)
+        np.copyto(log_band, 0.0, where=outside)
+        bands[i] = log_band
+        np.multiply(bands[i], phase, out=bands[i])
     return bands
 
 

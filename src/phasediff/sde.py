@@ -61,6 +61,7 @@ import logging
 import math
 import mmap
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
 
@@ -100,7 +101,8 @@ class SdeConfig:
     it bounds each worker's buffers and changes no sampled value.
     The engine picks its worker count itself (see the module docstring); no
     field sets it, and no worker count changes a sampled value either.
-    n_traj, record_every and master_seed are ints (not bools); record_every
+    dt, t_max and floor_epsilon are ints or finite floats, and n_traj,
+    record_every and master_seed are ints (none of them bools); record_every
     only thins the stored grid.  A grid whose step mask, recorded times and
     guard counts alone would not fit in physical memory is refused
     (phasediff.config checks the stored paths, knowing what a run stores).
@@ -117,6 +119,11 @@ class SdeConfig:
     chunk_size: ClassVar[int] = 4096
 
     def __post_init__(self):
+        for name in ("dt", "t_max", "floor_epsilon"):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not abs(v) <= sys.float_info.max):  # refuses NaN, infinities and past them
+                raise ValueError(f"{name} must be an int or a finite float, got {v!r}")
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.t_max < self.dt:

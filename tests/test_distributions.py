@@ -16,6 +16,7 @@ from phasediff import (
     eta,
     evolve_density_series,
     fock_cutoff,
+    gain,
     mean_photon,
     p_function_phase_density,
     pegg_barnett_distribution,
@@ -28,6 +29,7 @@ from phasediff.distributions import (
     _erf,
     _fock_bytes,
     _log_factorials,
+    _output_bands,
 )
 
 IDEAL_1 = AmplifierParams(1.0, 0.0)
@@ -290,7 +292,25 @@ def whole_table_kmax(input, d):
     return d - 1
 
 
+def per_call_chernoff(coherent_part, thermal_part, tail):
+    """_chernoff_count_cutoff with its zeta grid built on every call."""
+    zeta_max = 1e4 if thermal_part < 1e-300 else (1.0 - 1e-10) / thermal_part
+    zeta = np.geomspace(1e-8 if zeta_max > 1e-8 else 1e-8 * zeta_max, zeta_max, 4000)
+    with np.errstate(over="ignore"):
+        log_m = coherent_part * zeta / (1.0 - thermal_part * zeta) - np.log1p(-thermal_part * zeta)
+    s_req = (log_m - np.log(tail)) / np.log1p(zeta) - 1.0
+    return max(int(np.ceil(s_req.min())), 0)
+
+
 class TestBandSize:
+    @pytest.mark.parametrize("tail", [1e-10, 1e-36])
+    def test_grid_formed_once_gives_the_per_call_cutoffs(self, tail):
+        # the input's tail (fock_cutoff) and support (_band_kmax), and the output's at t = 0
+        for thermal in (0.0, 1e-310, 1e-3, 5.0, 1e8):
+            for amplitude_sq in np.geomspace(0.05, 1000.0, 60):
+                assert (_chernoff_count_cutoff(amplitude_sq, thermal, tail)
+                        == per_call_chernoff(amplitude_sq, thermal, tail)), (amplitude_sq, thermal)
+
     @pytest.mark.parametrize("amplitude_sq", [0.05, 1.01, 2.25, 30.0, 1000.0])
     def test_kmax_from_the_input_support_matches_the_whole_table(self, amplitude_sq):
         inp = CoherentInput(amplitude_sq)
@@ -298,11 +318,17 @@ class TestBandSize:
         for d in (10, 49, s_in + 1, 2 * s_in, 20_000):
             assert _band_kmax(inp, d) == whole_table_kmax(inp, d), d
 
-    @pytest.mark.parametrize("amplitude_sq, kmax", [(2.25, 47), (6.0, 62), (30.0, 110)])
-    def test_byte_count_bounds_the_traced_peak(self, amplitude_sq, kmax):
+    @pytest.mark.parametrize("amplitude_sq, kmax, t_max, n_times", [
+        pytest.param(2.25, 47, 4.0, 16, id="2.25-47"),  # the default variance-from-dist
+        pytest.param(6.0, 62, 4.0, 16, id="6.0-62"),
+        pytest.param(30.0, 110, 4.0, 16, id="30.0-110"),
+        pytest.param(2.25, 47, 2.5, 8, id="bench"),  # the benchmark's variance-from-dist
+        pytest.param(2.25, 47, 4.0, 7, id="7_times"),
+        pytest.param(6.0, 62, 2.0, 3, id="3_times")])
+    def test_byte_count_bounds_the_traced_peak(self, amplitude_sq, kmax, t_max, n_times):
         inp = CoherentInput(amplitude_sq, np.pi)
-        times = np.linspace(0.1, 4.0, 16)
-        cutoff = fock_cutoff(IDEAL_1, inp, 4.0)
+        times = np.linspace(0.1, t_max, n_times)
+        cutoff = fock_cutoff(IDEAL_1, inp, t_max)
         tracemalloc.start()
         try:
             states = evolve_density_series(IDEAL_1, inp, cutoff, times)
@@ -312,6 +338,95 @@ class TestBandSize:
         assert states[0].band.shape == (kmax + 1, cutoff + 1)
         count = _fock_bytes(inp, cutoff, len(times), math.inf)
         assert peak <= count <= 1.15 * peak
+
+
+def separate_ratio_bands(params, input, log_fact, d, kmax, times):
+    """_output_bands with the ratios in their own (d, times, kmax + 1) array.
+
+    The same floating-point operations in the same order, each band formed
+    from fresh temporaries: the in-place layout must reproduce it bit for bit.
+    """
+    t = times[:, None]
+    nbar = params.noise_ratio * np.expm1(params.kappa_minus * t)
+    beta_sq = gain(params, t) * input.amplitude_sq
+    y = beta_sq / (1.0 + nbar)
+    k = np.arange(kmax + 1)[None, :]
+    ratios = np.ones((d, len(times), kmax + 1))
+    if d > 1:
+        ratios[1] = (1 + k) * nbar + y
+    nbar_sq = nbar**2
+    step = np.empty_like(ratios[0])
+    for n0 in range(1, d - 1, 64):
+        ns = np.arange(n0, min(n0 + 64, d - 1))
+        firsts = (2 * ns[:, None, None] + 1 + k) * nbar + y
+        seconds = (ns[:, None, None] + k) * nbar_sq
+        for n, first, second in zip(ns.tolist(), firsts, seconds):
+            np.divide(second, ratios[n], out=step)
+            np.subtract(first, step, out=step)
+            np.divide(step, n + 1, out=ratios[n + 1])
+
+    n = np.arange(d)
+    kk = k[0][:, None]
+    levels = n + kk + 1
+    log_fact_ratio = 0.5 * (log_fact[n] - log_fact[n + kk])
+    log1p_nbar = np.log1p(nbar)
+    half_log_beta_sq = 0.5 * np.log(beta_sq)
+    inside = n + kk < d
+    phase = np.exp(1j * kk * input.theta)
+    bands = np.empty((len(times), kmax + 1, d), dtype=complex)
+    for i in range(len(times)):
+        log_band = np.log(ratios[:, i])
+        np.cumsum(log_band, axis=0, out=log_band)
+        log_band = (
+            log_band.T
+            - levels * log1p_nbar[i]
+            + log_fact_ratio
+            + kk * half_log_beta_sq[i]
+            - y[i]
+        )
+        np.multiply(np.where(inside, np.exp(log_band), 0.0), phase, out=bands[i])
+    return bands
+
+
+def first_guard_trip(bands, d, times):
+    """The message evolve_density_series raises on these bands, or None."""
+    for t, band in zip(times, bands):
+        try:
+            _check_band(band, d, t, 1.0 - band[0].real.sum())
+        except GuardTripError as exc:
+            return str(exc)
+    return None
+
+
+class TestBandsInPlace:
+    def test_bands_match_the_separate_ratio_array(self):
+        # every time count from 1 to 7 and 16; t = 0 in some; at the full cutoff,
+        # a quarter of it, and cutoffs so small that the guards trip or d <= 2
+        rng = np.random.default_rng(23)
+        outcomes = set()
+        for case in range(40):
+            params = random_params(rng)
+            inp = CoherentInput(rng.uniform(0.05, 8.0), rng.uniform(-np.pi, np.pi))
+            times = np.sort(rng.uniform(0.0, 2.0, (1, 2, 3, 4, 5, 6, 7, 16)[case % 8]))
+            if case % 5 == 0:
+                times[0] = 0.0
+            full = fock_cutoff(params, inp, times[-1])
+            for cutoff in (full, full // 4, 8, 1, 0):
+                d = cutoff + 1
+                kmax = _band_kmax(inp, d)
+                log_fact = _log_factorials(d + kmax)
+                expected = separate_ratio_bands(params, inp, log_fact, d, kmax, times)
+                assert np.array_equal(_output_bands(params, inp, log_fact, d, kmax, times),
+                                      expected), (case, cutoff)
+                message = first_guard_trip(expected, d, times)
+                if message is None:
+                    evolve_density_series(params, inp, cutoff, times)
+                else:
+                    with pytest.raises(GuardTripError) as info:
+                        evolve_density_series(params, inp, cutoff, times)
+                    assert str(info.value) == message
+                outcomes.add(message and message.split()[0])
+        assert outcomes == {None, "top", "coherence"}
 
 
 class TestFockState:

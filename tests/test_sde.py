@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import logging
+import math
 import mmap
 import os
 import signal
@@ -794,9 +795,14 @@ class TestConfigValidation:
         ("record_every", 2.0), ("record_every", True), ("record_every", 0),
         ("master_seed", 1.5), ("master_seed", False), ("master_seed", "1"),
         ("master_seed", 2**64),
+        ("dt", True), ("dt", math.nan), ("dt", "0.1"), ("t_max", math.inf),
+        pytest.param("t_max", 10**400, id="t_max-int_past_float"),
+        ("floor_epsilon", True), ("floor_epsilon", math.inf), ("floor_epsilon", np.int64(1)),
     ])
     def test_counts_must_be_ints(self, field, value):
-        # a float count would fail deep in the engine, and master_seed=1.5 would run as seed 1
+        # a float count would fail deep in the engine, and master_seed=1.5 would run as seed 1;
+        # dt, t_max and floor_epsilon may be floats, but finite ones: floor_epsilon=inf
+        # would run every path into NaN
         kw = dict(dt=0.1, t_max=1.0, n_traj=2, master_seed=0, record_every=1)
         with pytest.raises(ValueError, match=f"^{field} must be an int"):
             SdeConfig(**{**kw, field: value})

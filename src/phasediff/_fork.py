@@ -29,7 +29,7 @@ import selectors
 import signal
 import struct
 
-__all__ = ["run_ranges"]
+__all__ = ["run_ranges", "split_ranges"]
 
 # Every pipe message starts with a record of three int64.  (a, b, c) with
 # a >= 0 is a progress record, passed on as progress(a, b, c); (_RESULT, size,
@@ -61,9 +61,8 @@ def run_ranges(fn, n: int, smallest: int, progress=lambda a, b, c: None,
     return or by exception (KeyboardInterrupt included), are killed; every
     child is reaped.  `what` names the indices in that RuntimeError.
     """
-    workers = max(1, min(_WORKERS, n // smallest))
-    edges = [n * w // workers for w in range(workers + 1)]
-    ranges = list(zip(edges, edges[1:]))
+    ranges = split_ranges(n, smallest)
+    workers = len(ranges)
     if workers == 1 or not hasattr(os, "fork"):
         return [fn(lo, hi, progress) for lo, hi in ranges]
     results = [None] * workers
@@ -111,6 +110,13 @@ def run_ranges(fn, n: int, smallest: int, progress=lambda a, b, c: None,
         for r in index:
             os.close(r)
     return results
+
+
+def split_ranges(n: int, smallest: int) -> list[tuple[int, int]]:
+    """The (lo, hi) ranges run_ranges(fn, n, smallest) calls fn on, in order."""
+    workers = max(1, min(_WORKERS, n // smallest))
+    edges = [n * w // workers for w in range(workers + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def _write_all(fd: int, data) -> None:

@@ -4,17 +4,20 @@ Each experiment has its own schema: a flat key/value document holding every
 field the experiment reads, with its default, and no other field.  Schemas are
 assembled from small groups (amplifier rates, SDE integration) plus the run
 fields master_seed (required) and out.  A field outside the experiment's
-schema is rejected, so an older sidecar that sets a removed field (chunk_size,
-cutoff_s, tail_bound, or the cap on guard trips per trajectory: any floor
-contact aborts one) exits with a validation error.  The resolved document
-(defaults merged with the user's keys) is echoed into the run metadata so the
-metadata alone pins the run.  Validation is aggregated: all problems are
-reported at once, each naming its field.
+schema is rejected, so an older sidecar that sets a removed field exits with a
+validation error: chunk_size, cutoff_s, tail_bound, the cap on guard trips
+per trajectory (any floor contact aborts one), or theta (the amplifier is
+phase-insensitive, so the input phase only rotates the output and no reported
+variance depends on it; every run's input is at theta = pi).  The resolved
+document (defaults merged with the user's keys) is echoed into the run
+metadata so the metadata alone pins the run.  Validation is aggregated: all
+problems are reported at once, each naming its field.
 
 The Fock cutoff is no field: a run takes distributions.fock_cutoff, the one
 cutoff rule, at its last time and records it in the sidecar.  Validation
 refuses, naming times or t_max, a run whose cutoff that rule refuses or whose
-Fock arrays exceed physical memory.
+Fock arrays exceed physical memory, and, naming n_traj, an SDE run whose
+arrays (phasediff.sde._integrate_bytes) do.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from pathlib import Path
 
 from .distributions import MIN_GAIN_EXPONENT, _fock_bytes, fock_cutoff
 from .params import AmplifierParams, CoherentInput
-from .sde import SdeConfig, _physical_memory
+from .sde import SdeConfig, _integrate_bytes, _physical_memory
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_document", "validate_config",
            "experiment_defaults"]
@@ -57,6 +60,11 @@ _SDE = {
 }
 _RUN = {"master_seed": None, "out": "results"}  # master_seed is required
 
+# theta of every CoherentInput a run builds: the input phase only rotates the
+# output, so no reported variance depends on it, and every recorded output was
+# made at pi
+_INPUT_PHASE = math.pi
+
 # experiment name -> (description, schema: every field it reads, with its default)
 _EXPERIMENTS: dict[str, tuple[str, dict]] = {
     "number-fan": (
@@ -66,7 +74,7 @@ _EXPERIMENTS: dict[str, tuple[str, dict]] = {
     ),
     "variance-compare": (
         "sample phase variance vs inverse-moment orders and the small-noise bound",
-        {**_AMPLIFIER, "amplitude_sq": 2.25, "theta": math.pi, **_SDE, "expansion_order": 4},
+        {**_AMPLIFIER, "amplitude_sq": 2.25, **_SDE, "expansion_order": 4},
     ),
     "snr-input": (
         "inverse signal-to-noise ratio over time for several input strengths",
@@ -85,14 +93,20 @@ _EXPERIMENTS: dict[str, tuple[str, dict]] = {
     ),
     "dist-converge": (
         "phase densities from the closed form and the Fock reference at two times",
-        {**_AMPLIFIER, "amplitude_sq": 2.25, "theta": math.pi, "times": [0.1, 4.0]},
+        {**_AMPLIFIER, "amplitude_sq": 2.25, "times": [0.1, 4.0]},
     ),
     "variance-from-dist": (
         "phase variance over time from both phase densities",
-        {**_AMPLIFIER, "amplitude_sq": 2.25, "theta": math.pi,
-         "t_min": 0.1, "t_max": 4.0, "n_time_points": 16},
+        {**_AMPLIFIER, "amplitude_sq": 2.25, "t_min": 0.1, "t_max": 4.0, "n_time_points": 16},
     ),
 }
+
+
+# what each SDE experiment's run makes (see phasediff.experiments): the noise
+# columns its stepper draws, the variables whose paths it stores, and those it
+# reduces without storing
+_SDE_ARRAYS = {"number-fan": (2, 1, 0), "variance-compare": (2, 0, 1),
+               "inverse-expansion": (1, 0, 1)}
 
 
 def _integer(v) -> bool:
@@ -116,7 +130,6 @@ _CHECKS = {
     "kappa_up": (_number, "a number"),
     "kappa_down": (_number, "a number"),
     "amplitude_sq": (_number, "a number"),
-    "theta": (_number, "a number"),
     "dt": _POSITIVE,
     "t_max": _POSITIVE,
     "t_min": (_number, "a number"),
@@ -127,7 +140,7 @@ _CHECKS = {
     "n_time_points": _COUNT,
     "n0_list": (lambda v: _list_of(v, lambda n: _number(n) and n > 0),
                 "a non-empty list of numbers > 0"),
-    "nonideal_pairs": (lambda v: _list_of(v, lambda p: isinstance(p, list)
+    "nonideal_pairs": (lambda v: _list_of(v, lambda p: isinstance(p, list) and len(p) == 2
                                           and all(_number(x) for x in p)),
                        "a non-empty list of [kappa_up, kappa_down] pairs of numbers"),
     "input_grid_max": _POSITIVE,
@@ -235,8 +248,7 @@ def validate_config(raw) -> ExperimentConfig:
                 errors.append(("kappa_up/kappa_down", str(exc)))
         if "amplitude_sq" in resolved:
             try:
-                input_ = CoherentInput(
-                    **{k: resolved[k] for k in ("amplitude_sq", "theta") if k in resolved})
+                input_ = CoherentInput(resolved["amplitude_sq"], _INPUT_PHASE)
             except ValueError as exc:
                 errors.append(("amplitude_sq", str(exc)))
         if "dt" in resolved:
@@ -246,12 +258,12 @@ def validate_config(raw) -> ExperimentConfig:
             except ValueError as exc:
                 errors.append(("dt/t_max/n_traj", str(exc)))
 
-        if sde is not None and experiment == "number-fan":  # the one that stores paths
-            need, have = 8 * sde.n_traj * sde.n_recorded, _physical_memory()
+        if sde is not None:
+            need, have = _integrate_bytes(sde, *_SDE_ARRAYS[experiment]), _physical_memory()
             if need > have:
-                errors.append(("n_traj", f"{sde.n_traj} stored paths of {sde.n_recorded} times "
-                                         f"need {need:.3g} bytes, more than the {have:.3g} "
-                                         "bytes of physical memory"))
+                errors.append(("n_traj", f"{sde.n_traj} trajectories of {sde.n_recorded} "
+                                         f"recorded times need {need:.3g} bytes, more than the "
+                                         f"{have:.3g} bytes of physical memory"))
         if "expansion_order" in resolved and resolved["amplitude_sq"] <= 1.0:
             errors.append((
                 "amplitude_sq",

@@ -34,7 +34,10 @@ for the top-population guard and then dropped by renormalizing the truncated
 band to unit trace.
 
 FockState stores that band, not the (s+1)^2 matrix, so it is Hermitian by
-construction, and the Pegg-Barnett density is one FFT of its offset sums.
+construction, and the Pegg-Barnett density is one FFT of its offset sums on
+the grid 2pi m/(s+1) over [0, 2pi).  That window needs no setting: the output
+density is the input's rotated by theta, one period holds all of it, and
+distribution_variance recentres the window on its peak.
 
 The bands of all requested times are one complex (times, kmax + 1, d) array,
 and the recurrence's ratios M_n / M_(n-1) live in the second half of its
@@ -46,8 +49,8 @@ are read, so no ratio is overwritten before it is used, and the run holds
 little beyond its results.
 
 The cutoff is no setting: fock_cutoff, the one cutoff rule, bounds the tails
-of the displaced-thermal output and of the input, and refuses an output whose
-mean photon number reaches 2**53.  _fock_bytes counts the peak bytes
+of the displaced-thermal output and of the input by CUTOFF_TAIL, and refuses
+an output whose mean photon number reaches 2**53.  _fock_bytes counts the peak bytes
 evolve_density_series holds at a cutoff (the bands, and the larger of the
 recurrence's and the band formation's working sets), so that validation
 refuses a run too large for memory before any Fock array is made.
@@ -84,6 +87,7 @@ __all__ = [
 ]
 
 TOP_POPULATION_LIMIT = 1e-6
+CUTOFF_TAIL = 1e-10  # the population fock_cutoff leaves past the cutoff, input and output
 MIN_GAIN_EXPONENT = 1e-12  # eta needs kappa_minus * t above this (a gain above 1)
 _MIN_CUTOFF = 48
 
@@ -138,23 +142,27 @@ class FockState:
     the upper triangle is the conjugate, so the state is Hermitian by construction.
     """
 
-    cutoff_s: int
     band: np.ndarray
 
     def __post_init__(self):
-        d = self.cutoff_s + 1
         shape = self.band.shape
-        if len(shape) != 2 or shape[1] != d or not 1 <= shape[0] <= d:
-            raise ValueError(f"band must be (kmax+1, {d}) with kmax <= {d - 1}, got {shape}")
+        if len(shape) != 2 or not 1 <= shape[0] <= shape[1]:
+            raise ValueError(f"band must be (kmax+1, cutoff_s+1) with kmax <= cutoff_s, "
+                             f"got {shape}")
         imag = np.abs(self.band[0].imag).max()
         if imag > 1e-12:
             raise ValueError(f"diagonal must be real within 1e-12, imaginary part {imag:.2e}")
-        past = np.arange(shape[0])[:, None] + np.arange(d) >= d
+        past = np.arange(shape[0])[:, None] + np.arange(shape[1]) >= shape[1]
         if np.any(self.band[past] != 0):
             raise ValueError("band entries past the cutoff must be zero")
         tr = self.band[0].real.sum()
         if abs(tr - 1.0) > 1e-9:
             raise ValueError(f"trace must be 1 within 1e-9, got {tr}")
+
+    @property
+    def cutoff_s(self) -> int:
+        """The band's width minus one."""
+        return self.band.shape[1] - 1
 
     @property
     def rho(self) -> np.ndarray:
@@ -222,29 +230,27 @@ def _chernoff_count_cutoff(coherent_part: float, thermal_part: float, tail: floa
     return max(int(np.ceil(s_req.min())), 0)
 
 
-def fock_cutoff(params: AmplifierParams, input: CoherentInput, t: float, tail: float = 1e-10) -> int:
+def fock_cutoff(params: AmplifierParams, input: CoherentInput, t: float) -> int:
     """Cutoff large enough for the input and the amplified output.
 
     The output photon statistics are displaced thermal with thermal part
     (kappa_up/kappa_minus)(G_t - 1) and coherent part G_t |alpha|^2 — much
     broader than Poisson with the same mean — so the bound is taken on that
-    distribution.  The input's own (Poisson) tail is held below 1e-10 and a
-    small floor keeps the phase grid usable at tiny t.  This is the one cutoff
-    rule; the experiments and the config's memory check use the default tail.
-    ValueError unless 0 < tail < 1 and the output's mean photon number is
-    below 2**53 (at 16 bytes a level, past any memory): no finite input overflows.
+    distribution.  The tails of the input's own (Poisson) count and of the
+    output's are held below CUTOFF_TAIL, and a small floor keeps the phase
+    grid usable at tiny t.  This is the one cutoff rule.  ValueError unless
+    the output's mean photon number is below 2**53 (at 16 bytes a level, past
+    any memory): no finite input overflows.
     """
-    if not 0 < tail < 1:
-        raise ValueError(f"tail must be in (0, 1), got {tail!r}")
     x = min(params.kappa_minus * t, 40.0)  # the mean is at least G - 1, past 2**53 from 36.8 on
     mean = input.amplitude_sq * math.exp(x) + params.noise_ratio * math.expm1(x)
     if not mean < 2.0**53:
         raise ValueError(f"the output's mean photon number must be below 2**53 for a Fock cutoff; "
                          f"got {mean:.3g} at kappa_minus * t = {params.kappa_minus * t:.4g}")
     g = float(gain(params, t))
-    s_in = _chernoff_count_cutoff(input.amplitude_sq, 0.0, 1e-10)
+    s_in = _chernoff_count_cutoff(input.amplitude_sq, 0.0, CUTOFF_TAIL)
     s_out = _chernoff_count_cutoff(
-        g * input.amplitude_sq, params.noise_ratio * (g - 1.0), tail
+        g * input.amplitude_sq, params.noise_ratio * (g - 1.0), CUTOFF_TAIL
     )
     return max(s_in, s_out, _MIN_CUTOFF)
 
@@ -411,24 +417,22 @@ def evolve_density_series(
         trace = band[0].real.sum()
         _check_band(band, d, t, 1.0 - trace)
         band /= trace
-        out.append(FockState(cutoff_s=d - 1, band=band))
+        out.append(FockState(band))
     return out
 
 
-def pegg_barnett_distribution(state: FockState, phi_0: float) -> PhaseDensity:
+def pegg_barnett_distribution(state: FockState) -> PhaseDensity:
     """Phase density from projecting onto the s+1 discrete phase states.
 
-    p(phi_m) = [(s+1)/2pi] <phi_m|rho|phi_m> on phi_m = phi_0 + 2pi m/(s+1);
-    in Fourier form (1/2pi)[2 Re sum_k c_k e^(-ik phi_m) - c_0] with c_k the
-    band's offset sums: one FFT of c_k e^(-ik phi_0) zero-padded to s+1 points.
+    p(phi_m) = [(s+1)/2pi] <phi_m|rho|phi_m> on phi_m = 2pi m/(s+1), a grid
+    over [0, 2pi); in Fourier form (1/2pi)[2 Re sum_k c_k e^(-ik phi_m) - c_0]
+    with c_k the band's offset sums: one FFT of c_k zero-padded to s+1 points.
     The grid sum integrates to trace(rho) exactly.
     """
     d = state.cutoff_s + 1
-    phi = phi_0 + 2 * np.pi * np.arange(d) / d
     c = state.band.sum(axis=1)
-    spectrum = np.fft.fft(c * np.exp(-1j * np.arange(len(c)) * phi_0), n=d)
-    dens = (2 * spectrum.real - c[0].real) / (2 * np.pi)
-    return PhaseDensity(phi_grid=phi, density=np.maximum(dens, 0.0))
+    dens = (2 * np.fft.fft(c, n=d).real - c[0].real) / (2 * np.pi)
+    return PhaseDensity(phi_grid=2 * np.pi * np.arange(d) / d, density=np.maximum(dens, 0.0))
 
 
 def distribution_variance(density: PhaseDensity) -> float:

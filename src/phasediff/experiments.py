@@ -194,10 +194,9 @@ def _run_dist_converge(cfg: ExperimentConfig):
     times = [float(t) for t in cfg.resolved["times"]]
     cutoff = fock_cutoff(cfg.params, cfg.input, times[-1])
     states = evolve_density_series(cfg.params, cfg.input, cutoff, times)
-    phi0 = cfg.input.theta - np.pi
     files, meta_extra = {}, {"cutoff_s": cutoff, "times": times}
     for i, (t, state) in enumerate(zip(times, states), start=1):
-        pb = pegg_barnett_distribution(state, phi0)
+        pb = pegg_barnett_distribution(state)
         p_closed = p_function_phase_density(cfg.params, cfg.input, t, pb.phi_grid)
         files[f"dist-converge.t{i}.csv"] = _csv_body(
             ["phi", "p_function", "pegg_barnett"],
@@ -212,11 +211,8 @@ def _run_variance_from_dist(cfg: ExperimentConfig):
                         cfg.resolved["n_time_points"])
     cutoff = fock_cutoff(cfg.params, cfg.input, float(times[-1]))
     states = evolve_density_series(cfg.params, cfg.input, cutoff, times)
-    phi0 = cfg.input.theta - np.pi
-    var_pb = np.array([
-        distribution_variance(pegg_barnett_distribution(s, phi0)) for s in states
-    ])
-    grid = phi0 + 2 * np.pi * np.arange(4096) / 4096
+    var_pb = np.array([distribution_variance(pegg_barnett_distribution(s)) for s in states])
+    grid = 2 * np.pi * np.arange(4096) / 4096
     var_p = np.array([
         distribution_variance(PhaseDensity(
             grid, p_function_phase_density(cfg.params, cfg.input, float(t), grid)))

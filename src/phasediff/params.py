@@ -44,6 +44,8 @@ class CoherentInput:
 
     amplitude_sq is |alpha|^2 = N(0); theta is the initial phase Phi(0).
     In this picture the input carries no initial number or phase spread.
+    Runs built from a config fix theta = pi: the amplifier is
+    phase-insensitive, so theta only rotates the output.
     """
 
     amplitude_sq: float

@@ -67,7 +67,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from ._fork import run_ranges
+from ._fork import run_ranges, split_ranges
 from .errors import GuardTripError
 from .params import AmplifierParams, CoherentInput
 
@@ -105,7 +105,8 @@ class SdeConfig:
     record_every and master_seed are ints (none of them bools); record_every
     only thins the stored grid.  A grid whose step mask, recorded times and
     guard counts alone would not fit in physical memory is refused
-    (phasediff.config checks the stored paths, knowing what a run stores).
+    (phasediff.config checks every array a run makes, _integrate_bytes,
+    knowing what each experiment stores and reduces).
     Every step draws exactly two normals per trajectory (number noise, then
     phase noise), each scaled by sqrt(dt).
     """
@@ -258,6 +259,31 @@ def _noise_blocks(config: SdeConfig, start: int, stop: int, report, columns: int
         report(start, stop, k1)
 
 
+def _batch_width(config: SdeConfig) -> int:
+    """Trajectories a worker steps at once: chunk_size rounded up to whole tiles."""
+    return -(-config.chunk_size // _TILE) * _TILE
+
+
+def _integrate_bytes(config: SdeConfig, columns: int, stored: int, reduced: int) -> int:
+    """Bytes of the arrays _integrate makes for a run with `columns` noise
+    columns that stores the paths of `stored` variables and reduces `reduced`
+    more without storing them.
+
+    The calling process holds the step mask, the recorded steps and times, the
+    guard counts and the stored paths.  Each worker, one per range of
+    run_ranges, all forked at once, holds one batch buffer per variable it
+    reduces but does not store and a noise block with its tile buffer, each
+    as wide as the worker's first batch.
+    """
+    n, m = config.n_traj, config.n_recorded
+    b = min(_BLOCK_STEPS, config.n_steps)
+    total = config.n_steps + 1 + 16 * m + 8 * n * (1 + stored * m)
+    for lo, hi in split_ranges(-(-n // _TILE), 1):
+        width = min(_batch_width(config), min(hi * _TILE, n) - lo * _TILE)
+        total += 8 * (width * (reduced * m + b * columns) + _TILE * b * 2)
+    return total
+
+
 def _integrate(params, input, config, stepper, names, noise_columns, store, reduce):
     """Run stepper over the ensemble; store and reduce name the variables wanted."""
     for name in (*store, *reduce):
@@ -271,7 +297,7 @@ def _integrate(params, input, config, stepper, names, noise_columns, store, redu
     paths = {name: _mapped(n, m) for name in names if name in store}
     guard_counts = _mapped(n, dtype=np.int64)
     reduced = [name for name in names if name in reduce]
-    batch = -(-config.chunk_size // _TILE) * _TILE
+    batch = _batch_width(config)
 
     def run_range(lo, hi, report):
         lo, hi = lo * _TILE, min(hi * _TILE, n)

@@ -48,3 +48,13 @@ def test_sde_config_fields_are_pinned():
     # the batch width is a class constant, and any guard trip aborts: neither is a field
     assert [f.name for f in dataclasses.fields(phasediff.SdeConfig)] == [
         "dt", "t_max", "n_traj", "master_seed", "floor_epsilon", "record_every"]
+
+
+def test_fock_surface_is_pinned():
+    # the cutoff rule has one tail and the phase window starts at 0: neither is a parameter
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(phasediff.pegg_barnett_distribution) == ["state"]
+    assert names(phasediff.fock_cutoff) == ["params", "input", "t"]
+    assert [f.name for f in dataclasses.fields(phasediff.FockState)] == ["band"]

@@ -12,7 +12,9 @@ import pytest
 
 import phasediff
 from phasediff.cli import main
+from phasediff.config import _SDE_ARRAYS
 from phasediff.distributions import _fock_bytes
+from phasediff.sde import _integrate_bytes
 
 
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -67,7 +69,7 @@ def test_analytic_experiment_ignores_sde_limits(tmp_path, capsys):
         ("snr-nonideal", '{"input_grid_points": 1.5}', "input_grid_points"),
         ("snr-input --n-traj 5", "{}", "n_traj"),
         ("snr-input", '{"t_max": 1e400}', "t_max"),
-        ("dist-converge", '{"theta": NaN}', "theta"),
+        ("dist-converge", '{"amplitude_sq": NaN}', "amplitude_sq"),
         ("number-fan --t-max 2.05 --dt 0.1", "{}", "dt/t_max/n_traj"),
         ("number-fan --dt 1e-300", "{}", "dt/t_max/n_traj"),  # 2e300 steps
         ("number-fan --dt 5e-324", "{}", "dt/t_max/n_traj"),  # t_max/dt overflows
@@ -84,6 +86,10 @@ def test_analytic_experiment_ignores_sde_limits(tmp_path, capsys):
         ("number-fan", '{"config": {"max_guard_trips": 0}}', "max_guard_trips"),  # any trip aborts
         ("dist-converge", '{"config": {"cutoff_s": null}}', "cutoff_s"),  # the cutoff is
         ("variance-from-dist", '{"config": {"tail_bound": 1e-10}}', "tail_bound"),  # no field
+        # the input phase is no field: it only rotates the output
+        ("variance-compare", '{"config": {"theta": 3.141592653589793}}', "theta"),
+        ("dist-converge", '{"config": {"theta": 0.3}}', "theta"),
+        ("variance-from-dist", '{"config": {"theta": -2}}', "theta"),
         ("inverse-expansion", '{"record_every": 0, "floor_epsilon": 0}',
          "floor_epsilon,record_every"),
         ("dist-converge", '{"times": [1e-13, 0.1]}', "times"),
@@ -91,6 +97,7 @@ def test_analytic_experiment_ignores_sde_limits(tmp_path, capsys):
         ("snr-nonideal", '{"nonideal_pairs": [[Infinity, 0]]}', "nonideal_pairs"),
         ("snr-nonideal", '{"nonideal_pairs": [[1e400, 0]]}', "nonideal_pairs"),
         ("snr-nonideal", '{"nonideal_pairs": [[NaN, 0]]}', "nonideal_pairs"),
+        ("snr-nonideal", '{"nonideal_pairs": [[0.6], [0.7, 0.3]]}', "nonideal_pairs"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, command, text, field):
@@ -119,8 +126,28 @@ def test_number_fan_whose_paths_exceed_memory_exits_2(tmp_path, capsys, monkeypa
     assert record["error"] == "validation"
     assert [d["field"] for d in record["details"]] == ["n_traj"]
     assert "physical memory" in record["details"][0]["message"]
-    phasediff.validate_config({"experiment": "number-fan", "master_seed": 1,
-                               "n_traj": n_traj - 1})  # whose paths just fit
+
+
+@pytest.mark.parametrize("command", ["number-fan", "variance-compare", "inverse-expansion"])
+def test_sde_arrays_just_past_memory_exit_2(tmp_path, capsys, monkeypatch, command):
+    # the default run's count of the arrays it makes, stored or not: a byte
+    # less memory is refused, naming n_traj, before anything is mapped; that
+    # much validates
+    def refuse(*shape, **kwargs):
+        raise AssertionError(f"mapped an array of shape {shape}")
+
+    sde = phasediff.validate_config({"experiment": command, "master_seed": 1}).sde
+    need = _integrate_bytes(sde, *_SDE_ARRAYS[command])
+    assert need > 8 * sde.n_traj * sde.n_recorded  # more than one path array
+    monkeypatch.setattr(phasediff.sde, "_mapped", refuse)
+    monkeypatch.setattr(phasediff.config, "_physical_memory", lambda: need - 1)
+    code, _, err = run(capsys, command, "--seed", "1", "--out", str(tmp_path))
+    assert code == 2
+    record = json.loads(err)
+    assert [d["field"] for d in record["details"]] == ["n_traj"]
+    assert f"need {need:.3g} bytes" in record["details"][0]["message"]
+    monkeypatch.setattr(phasediff.config, "_physical_memory", lambda: need)
+    phasediff.validate_config({"experiment": command, "master_seed": 1})
 
 
 @pytest.mark.parametrize("command, doc, field", [

@@ -1,11 +1,13 @@
 """Per-experiment config schemas, aggregated errors and the sidecar round trip."""
 
 import json
+import math
 
 import pytest
 
 from phasediff import ConfigError, experiment_defaults, list_experiments, run_experiment
 from phasediff import validate_config
+from phasediff.config import _CHECKS
 
 AMPLIFIER = ["kappa_up", "kappa_down"]
 SDE = ["dt", "t_max", "n_traj", "floor_epsilon", "record_every"]
@@ -13,14 +15,13 @@ RUN = ["master_seed", "out"]
 
 SCHEMAS = {
     "number-fan": AMPLIFIER + ["amplitude_sq"] + SDE + RUN,
-    "variance-compare": AMPLIFIER + ["amplitude_sq", "theta", "expansion_order"] + SDE + RUN,
+    "variance-compare": AMPLIFIER + ["amplitude_sq", "expansion_order"] + SDE + RUN,
     "inverse-expansion": AMPLIFIER + ["amplitude_sq", "expansion_order"] + SDE + RUN,
     "snr-input": AMPLIFIER + ["n0_list", "t_max", "n_time_points"] + RUN,
     "snr-nonideal": ["amplitude_sq", "nonideal_pairs", "t_max", "n_time_points",
                      "input_grid_max", "input_grid_points"] + RUN,
-    "dist-converge": AMPLIFIER + ["amplitude_sq", "theta", "times"] + RUN,
-    "variance-from-dist": AMPLIFIER + ["amplitude_sq", "theta", "t_min", "t_max",
-                                       "n_time_points"] + RUN,
+    "dist-converge": AMPLIFIER + ["amplitude_sq", "times"] + RUN,
+    "variance-from-dist": AMPLIFIER + ["amplitude_sq", "t_min", "t_max", "n_time_points"] + RUN,
 }
 
 # seconds-long configs, one per registered experiment
@@ -44,7 +45,19 @@ def test_schema_holds_the_fields_the_experiment_reads(experiment):
 
 def test_schemas_cover_every_experiment():
     assert sorted(SCHEMAS) == sorted(SMALL) == sorted(list_experiments())
-    assert sum(len(fields) for fields in SCHEMAS.values()) == 64
+    assert sum(len(fields) for fields in SCHEMAS.values()) == 61
+
+
+def test_every_check_belongs_to_a_field():
+    # a field removed from every schema leaves no predicate behind
+    assert set(_CHECKS) == set().union(*SCHEMAS.values())
+
+
+def test_every_input_is_at_theta_pi():
+    # the amplifier is phase-insensitive: the input phase is no field
+    for experiment in SCHEMAS:
+        cfg = validate_config({"experiment": experiment, "master_seed": 1})
+        assert cfg.input is None or cfg.input.theta == math.pi
 
 
 def test_analytic_objects_built_only_from_their_fields():

@@ -23,6 +23,7 @@ from phasediff import (
     photon_variance,
 )
 from phasediff.distributions import (
+    CUTOFF_TAIL,
     _band_kmax,
     _check_band,
     _chernoff_count_cutoff,
@@ -115,10 +116,10 @@ def coherent_state(input, cutoff_s):
     return np.outer(c, c.conj())
 
 
-def pegg_barnett_by_offsets(rho, phi_0):
+def pegg_barnett_by_offsets(rho):
     """Pegg-Barnett density summed offset by offset from the dense matrix."""
     d = len(rho)
-    phi = phi_0 + 2 * np.pi * np.arange(d) / d
+    phi = 2 * np.pi * np.arange(d) / d
     dens = np.full(d, np.trace(rho).real)
     for k in range(1, d):
         dens += 2 * (np.trace(rho, offset=-k) * np.exp(-1j * k * phi)).real
@@ -160,9 +161,9 @@ class TestClosedFormAgainstRk4:
         for state, band in zip(states, rk4_master_equation(params, input, cutoff, times)):
             assert state.band.shape == band.shape
             assert np.abs(state.band - band).max() < 1e-10
-            oracle = FockState(cutoff_s=cutoff, band=band)
-            pb = pegg_barnett_distribution(state, input.theta - np.pi).density
-            pb_oracle = pegg_barnett_distribution(oracle, input.theta - np.pi).density
+            oracle = FockState(band=band)
+            pb = pegg_barnett_distribution(state).density
+            pb_oracle = pegg_barnett_distribution(oracle).density
             assert np.abs(pb - pb_oracle).max() < 1e-10
 
     def test_times_are_independent(self):
@@ -208,10 +209,16 @@ class TestPhotonStatistics:
         ],
     )
     def test_fock_cutoff_tail_is_below_bound(self, params, amplitude_sq, t, tail):
+        # the Chernoff cutoff on the output's coherent and thermal parts, at
+        # each tail, and fock_cutoff's at its own
         inp = CoherentInput(amplitude_sq, 0.0)
-        s = fock_cutoff(params, inp, t, tail)
+        g = float(gain(params, t))
+        s = _chernoff_count_cutoff(g * amplitude_sq, params.noise_ratio * (g - 1.0), tail)
         populations = evolve(params, inp, 2 * s, t).band[0].real
         assert populations[s + 1:].sum() <= tail
+        s = fock_cutoff(params, inp, t)
+        populations = evolve(params, inp, 2 * s, t).band[0].real
+        assert populations[s + 1:].sum() <= CUTOFF_TAIL
 
     @pytest.mark.parametrize("thermal", [1e3, 1e8, 4.85e8, 1e12])
     def test_cutoff_search_stays_below_the_pole(self, thermal):
@@ -239,9 +246,6 @@ class TestPhotonStatistics:
             # a thermal part of 1e-300: its Chernoff grid reaches 1e300, where the bound overflows
             assert fock_cutoff(IDEAL_1, inp, 1e-300) == fock_cutoff(IDEAL_1, inp, 0.0)
             assert fock_cutoff(IDEAL_1, inp, 35.0) > 1e16  # mean 5.1e15
-        for tail in (0.0, 1.0):
-            with pytest.raises(ValueError, match="tail"):
-                fock_cutoff(IDEAL_1, inp, 1.0, tail)
 
 
 class TestGuards:
@@ -432,10 +436,10 @@ class TestBandsInPlace:
 class TestFockState:
     def test_rejects_malformed_bands(self):
         good = band_of(coherent_state(CoherentInput(2.0, 0.3), 30), 12)
-        FockState(cutoff_s=30, band=good)
-        for shape in ((13, 30), (13, 32), (32, 31), (31,), (0, 31)):
+        assert FockState(good).cutoff_s == 30
+        for shape in ((32, 31), (31,), (0, 31)):
             with pytest.raises(ValueError, match="band must be"):
-                FockState(cutoff_s=30, band=np.zeros(shape, dtype=complex))
+                FockState(np.zeros(shape, dtype=complex))
         cases = {
             "diagonal must be real": (0, 2, 1e-11j),
             "past the cutoff": (12, 25, 1e-300),
@@ -445,7 +449,7 @@ class TestFockState:
             bad = good.copy()
             bad[k, n] += delta
             with pytest.raises(ValueError, match=message):
-                FockState(cutoff_s=30, band=bad)
+                FockState(bad)
 
     def test_dense_view_is_the_band_and_exactly_hermitian(self):
         rng = np.random.default_rng(11)
@@ -467,7 +471,7 @@ class TestPhaseDensities:
     def test_pegg_barnett_is_normalized(self):
         inp = CoherentInput(2.25, 0.3)
         for params, t in ((IDEAL_1, 0.5), (LOSSY, 1.0)):
-            pb = pegg_barnett_distribution(evolve(params, inp, fock_cutoff(params, inp, t), t), -2.0)
+            pb = pegg_barnett_distribution(evolve(params, inp, fock_cutoff(params, inp, t), t))
             assert pb.density.sum() * pb.spacing == pytest.approx(1.0, abs=1e-12)
 
     def test_fft_matches_the_offset_sums(self):
@@ -476,10 +480,11 @@ class TestPhaseDensities:
             params = random_params(rng)
             inp = CoherentInput(rng.uniform(0.5, 8.0), rng.uniform(-np.pi, np.pi))
             t = rng.uniform(0.05, 1.5)
-            phi_0 = rng.uniform(-np.pi, np.pi)
             state = evolve(params, inp, fock_cutoff(params, inp, t), t)
-            pb = pegg_barnett_distribution(state, phi_0).density
-            assert np.abs(pb - pegg_barnett_by_offsets(state.rho, phi_0)).max() < 1e-13
+            pb = pegg_barnett_distribution(state)
+            grid = np.linspace(0, 2 * np.pi, state.cutoff_s + 1, endpoint=False)
+            np.testing.assert_allclose(pb.phi_grid, grid, rtol=0, atol=1e-14)
+            assert np.abs(pb.density - pegg_barnett_by_offsets(state.rho)).max() < 1e-13
 
     def test_fft_matches_the_offset_sums_on_a_full_width_band(self):
         rng = np.random.default_rng(19)
@@ -487,10 +492,9 @@ class TestPhaseDensities:
             a = rng.normal(size=(cutoff + 1, 3)) + 1j * rng.normal(size=(cutoff + 1, 3))
             rho = a @ a.conj().T
             rho /= np.trace(rho).real
-            state = FockState(cutoff_s=cutoff, band=band_of(rho, cutoff))
-            phi_0 = rng.uniform(-np.pi, np.pi)
-            pb = pegg_barnett_distribution(state, phi_0).density
-            assert np.abs(pb - pegg_barnett_by_offsets(rho, phi_0)).max() < 1e-13
+            state = FockState(band_of(rho, cutoff))
+            pb = pegg_barnett_distribution(state).density
+            assert np.abs(pb - pegg_barnett_by_offsets(rho)).max() < 1e-13
 
     def test_p_function_is_normalized_and_symmetric(self):
         rng = np.random.default_rng(5)
@@ -530,7 +534,7 @@ class TestPhaseDensities:
         cutoff = fock_cutoff(params, inp, times[-1])
         distances = []
         for t, state in zip(times, evolve_density_series(params, inp, cutoff, times)):
-            pb = pegg_barnett_distribution(state, inp.theta - np.pi)
+            pb = pegg_barnett_distribution(state)
             p = p_function_phase_density(params, inp, t, pb.phi_grid)
             distances.append(np.abs(p - pb.density).sum() * pb.spacing)
         assert distances[-1] < distances[0] / 10

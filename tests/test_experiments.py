@@ -11,8 +11,10 @@ import pytest
 
 from phasediff import GuardTripError, TrajectoryEnsemble, list_experiments, run_experiment
 from phasediff import validate_config
-from phasediff import _fork, experiments
+from phasediff import _fork, experiments, sde
+from phasediff.config import _SDE_ARRAYS
 from phasediff.experiments import _check_aborts, _csv_body
+from phasediff.sde import _integrate_bytes
 
 
 def ensemble(guard_counts):
@@ -191,3 +193,27 @@ def test_sde_experiments_keep_only_what_they_write(tmp_path, monkeypatch, experi
     (ens,) = ensembles
     assert sorted(ens.variables()) == stored
     assert sorted(ens.moments) == reduced
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("experiment", ["number-fan", "variance-compare", "inverse-expansion"])
+def test_sde_runs_make_what_validation_counts(tmp_path, monkeypatch, experiment, workers):
+    # without os.fork the ranges run one after another in this process, so
+    # every mapping is seen; forked, they are held at once, as counted
+    mapped = []
+    real = sde._mapped
+
+    def tally(*shape, **kw):
+        array = real(*shape, **kw)
+        mapped.append(array.nbytes)
+        return array
+
+    monkeypatch.setattr(_fork, "_WORKERS", workers)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(sde, "_mapped", tally)
+    cfg = validate_config({"experiment": experiment, "master_seed": 1, "n_traj": 200,
+                           "t_max": 1.0, "out": str(tmp_path)})
+    run_experiment(cfg)
+    c = cfg.sde  # the step mask and the recorded steps and times come from the heap
+    heap = c.n_steps + 1 + 16 * c.n_recorded
+    assert heap + sum(mapped) == _integrate_bytes(c, *_SDE_ARRAYS[experiment])

@@ -33,20 +33,21 @@ missing from the truncated band.  It is added to the top level's population
 for the top-population guard and then dropped by renormalizing the truncated
 band to unit trace.
 
-FockState stores that band, not the (s+1)^2 matrix, so it is Hermitian by
-construction, and the Pegg-Barnett density is one FFT of its offset sums on
-the grid 2pi m/(s+1) over [0, 2pi).  That window needs no setting: the output
-density is the input's rotated by theta, one period holds all of it, and
+The input phase enters the band only as a phase: beta = sqrt(G_t) |alpha|
+e^(i theta), so rho[n+k, n] = |rho[n+k, n]| e^(ik theta).  FockState stores
+the real, nonnegative theta = 0 band and theta, not the (s+1)^2 matrix.  It
+is Hermitian by construction, and the Pegg-Barnett density is one FFT of its
+offset sums, each turned by e^(ik theta), on the grid 2pi m/(s+1) over
+[0, 2pi).  That window needs no setting: the output density is the
+input's rotated by theta, one period holds all of it, and
 distribution_variance recentres the window on its peak.
 
-The bands of all requested times are one complex (times, kmax + 1, d) array,
-and the recurrence's ratios M_n / M_(n-1) live in the second half of its
-float storage, time-major as (times, d, kmax + 1).  In blocks of
-(kmax + 1) d floats, band i fills blocks 2i and 2i + 1 and time j's ratios
-fill block times + j, so band i covers only the ratios of times j <= i.  The
-bands are formed in ascending time order, each after its own time's ratios
-are read, so no ratio is overwritten before it is used, and the run holds
-little beyond its results.
+The bands of all requested times are one float64 (times, kmax + 1, d) array,
+and the recurrence's ratios M_n / M_(n-1) live in it too: time j's ratios
+fill band j's own block, viewed as (d, kmax + 1).  Band i is formed in one
+(kmax + 1, d) scratch from its own time's ratios and then written over them,
+so no ratio is overwritten before it is used, and the run holds little beyond
+its results.
 
 The cutoff is no setting: fock_cutoff, the one cutoff rule, bounds the tails
 of the displaced-thermal output and of the input by CUTOFF_TAIL, and refuses
@@ -136,26 +137,29 @@ def _erf(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FockState:
-    """Density matrix truncated at cutoff_s, stored as its offset band.
+    """Density matrix truncated at cutoff_s, stored as its real offset band and a phase.
 
-    band[k, n] = rho[n+k, n] for k = 0..kmax <= cutoff_s, zero past the cutoff;
-    the upper triangle is the conjugate, so the state is Hermitian by construction.
+    rho[n+k, n] = band[k, n] e^(ik theta) for k = 0..kmax <= cutoff_s, with
+    band real and zero past the cutoff; the upper triangle is the conjugate,
+    so the state is Hermitian by construction.
     """
 
     band: np.ndarray
+    theta: float
 
     def __post_init__(self):
         shape = self.band.shape
         if len(shape) != 2 or not 1 <= shape[0] <= shape[1]:
             raise ValueError(f"band must be (kmax+1, cutoff_s+1) with kmax <= cutoff_s, "
                              f"got {shape}")
-        imag = np.abs(self.band[0].imag).max()
-        if imag > 1e-12:
-            raise ValueError(f"diagonal must be real within 1e-12, imaginary part {imag:.2e}")
+        if self.band.dtype.kind != "f":
+            raise ValueError(f"band must be real floating point, got {self.band.dtype}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         past = np.arange(shape[0])[:, None] + np.arange(shape[1]) >= shape[1]
         if np.any(self.band[past] != 0):
             raise ValueError("band entries past the cutoff must be zero")
-        tr = self.band[0].real.sum()
+        tr = self.band[0].sum()
         if abs(tr - 1.0) > 1e-9:
             raise ValueError(f"trace must be 1 within 1e-9, got {tr}")
 
@@ -169,10 +173,11 @@ class FockState:
         """The dense (s+1) x (s+1) density matrix, built anew on each access."""
         d = self.cutoff_s + 1
         n = np.arange(d)
-        rho = np.diag(self.band[0].real.astype(complex))
+        rho = np.diag(self.band[0].astype(complex))
         for k in range(1, self.band.shape[0]):
-            rho[n[k:], n[: d - k]] = self.band[k, : d - k]
-            rho[n[: d - k], n[k:]] = self.band[k, : d - k].conj()
+            off = self.band[k, : d - k] * np.exp(1j * k * self.theta)
+            rho[n[k:], n[: d - k]] = off
+            rho[n[: d - k], n[k:]] = off.conj()
         return rho
 
 
@@ -239,7 +244,7 @@ def fock_cutoff(params: AmplifierParams, input: CoherentInput, t: float) -> int:
     distribution.  The tails of the input's own (Poisson) count and of the
     output's are held below CUTOFF_TAIL, and a small floor keeps the phase
     grid usable at tiny t.  This is the one cutoff rule.  ValueError unless
-    the output's mean photon number is below 2**53 (at 16 bytes a level, past
+    the output's mean photon number is below 2**53 (at 8 bytes a level, past
     any memory): no finite input overflows.
     """
     x = min(params.kappa_minus * t, 40.0)  # the mean is at least G - 1, past 2**53 from 36.8 on
@@ -290,20 +295,23 @@ def _fock_bytes(input: CoherentInput, cutoff_s: int, n_times: int, limit: float)
     """Peak bytes evolve_density_series holds for n_times times at cutoff_s.
 
     With d = cutoff_s + 1 and rows = kmax + 1: the d + kmax log-factorials and
-    the complex bands, which also hold the ratios, then the larger of the two
-    working sets of _output_bands and numpy's ufunc buffers.  The recurrence
-    holds one _RATIO_BLOCK of coefficients (firsts and seconds) and the
-    working row and step, n_times x rows each; the band formation holds
-    log_fact_ratio and the log-band scratch, rows x d each.  When the count at
-    the floor rows >= min(_BAND_MARGIN + 2, d) already exceeds limit, that
-    count is returned and no table is built.
+    the float64 bands, 8 bytes an entry, which also hold the ratios, then the
+    larger of the two working sets of _output_bands and numpy's ufunc buffers.
+    The recurrence holds one _RATIO_BLOCK of coefficients (firsts and seconds)
+    and the working row and step, n_times x rows each, and the block's integer
+    coefficients, rows each; the band formation holds log_fact_ratio and the
+    log-band scratch, rows x d each, and the levels and outside tables, d + rows
+    each.  When the count at the floor rows >= min(_BAND_MARGIN + 2, d) already
+    exceeds limit, that count is returned and no table is built.
     """
     d = cutoff_s + 1
     block = max(min(_RATIO_BLOCK, d - 2), 0)
 
-    def peak(rows: int) -> int:  # the ufunc buffers: up to 160 kB seen forming a band
-        return (8 * (d + rows - 1) + 16 * n_times * rows * d
-                + 16 * max(n_times * rows * (block + 1), rows * d) + 32 * np.getbufsize())
+    def peak(rows: int) -> int:  # the ufunc buffers: up to 133 kB seen, casting in the recurrence
+        recurrence = 16 * n_times * rows * (block + 1) + 8 * block * rows
+        formation = 16 * rows * d + 9 * (d + rows)
+        return (8 * (d + rows - 1) + 8 * n_times * rows * d + max(recurrence, formation)
+                + 20 * np.getbufsize())
 
     floor = peak(min(_BAND_MARGIN + 2, d))  # offset 0 is always kept: kmax >= min(9, d - 1)
     return floor if floor > limit else peak(_band_kmax(input, d) + 1)
@@ -311,20 +319,19 @@ def _fock_bytes(input: CoherentInput, cutoff_s: int, n_times: int, limit: float)
 
 def _output_bands(params: AmplifierParams, input: CoherentInput, log_fact: np.ndarray, d: int,
                   kmax: int, times: np.ndarray) -> np.ndarray:
-    """Untruncated output bands B[i, k, n] = rho[n+k, n](times[i]), zero past the cutoff.
+    """Untruncated theta = 0 output bands B[i, k, n] = |rho[n+k, n](times[i])|,
+    zero past the cutoff.
 
-    log_fact[j] = log j! for j <= d - 1 + kmax.  The ratios M_n / M_(n-1) are
-    held in the second half of the bands' own float storage, laid out
-    (times, d, kmax + 1), and the recurrence runs for all times at once.
-    Band i is then formed in ascending time order: time i's log ratios go into
-    one (kmax + 1, d) scratch before band i is written, and band i covers only
-    the ratios of times <= i, so no ratio is overwritten before it is read.
+    log_fact[j] = log j! for j <= d - 1 + kmax.  The bands are one float64
+    (times, kmax + 1, d) array, and the recurrence, run for all times at once,
+    keeps time j's ratios M_n / M_(n-1) in band j's own block, viewed as
+    (d, kmax + 1).  Band i is formed in one (kmax + 1, d) scratch from its own
+    time's log ratios and then written over them, so no ratio is overwritten
+    before it is read.
     """
     n_times, rows = len(times), kmax + 1
-    bands = np.empty((n_times, rows, d), dtype=complex)
-    # in blocks of rows d floats, band i fills blocks 2i and 2i + 1 and time j's
-    # ratios block n_times + j: band i overwrites the ratios of times <= i only
-    ratios = bands.reshape(-1).view(float)[n_times * rows * d:].reshape(n_times, d, rows)
+    bands = np.empty((n_times, rows, d))
+    ratios = bands.reshape(n_times, d, rows)  # time j's ratios in band j's block
     t = times[:, None]
     nbar = params.noise_ratio * np.expm1(params.kappa_minus * t)
     beta_sq = gain(params, t) * input.amplitude_sq
@@ -360,7 +367,6 @@ def _output_bands(params: AmplifierParams, input: CoherentInput, log_fact: np.nd
     kk = k[0][:, None]
     log1p_nbar = np.log1p(nbar)
     half_log_beta_sq = 0.5 * np.log(beta_sq)
-    phase = np.exp(1j * kk * input.theta)
     log_band = np.empty((rows, d))
     for i in range(n_times):
         # log M_n in time i's own ratio storage, then the log band in the scratch:
@@ -375,19 +381,18 @@ def _output_bands(params: AmplifierParams, input: CoherentInput, log_fact: np.nd
         np.exp(log_band, out=log_band)
         np.copyto(log_band, 0.0, where=outside)
         bands[i] = log_band
-        np.multiply(bands[i], phase, out=bands[i])
     return bands
 
 
 def _check_band(band: np.ndarray, d: int, t: float, escaped: float):
-    top = band[0, d - 1].real + escaped
+    top = band[0, d - 1] + escaped
     if top > TOP_POPULATION_LIMIT:
         raise GuardTripError(
             f"top Fock level and beyond hold {top:.2e} > {TOP_POPULATION_LIMIT} at t={t}; "
             "cutoff too small for this horizon"
         )
     if band.shape[0] >= 4:
-        edge = np.abs(band[-3:]).max()
+        edge = band[-3:].max()
         if edge > 1e-10:
             raise GuardTripError(
                 f"coherence band edge reached {edge:.2e} at t={t}; enlarge the offset margin"
@@ -404,7 +409,8 @@ def evolve_density_series(
 
     The population at or past the top level (cutoff_s) must stay below
     TOP_POPULATION_LIMIT and the band edge below 1e-10, else GuardTripError.
-    The states' bands are views of one (times, kmax + 1, cutoff_s + 1) array.
+    The states' bands are views of one float64 (times, kmax + 1, cutoff_s + 1)
+    array, and every state carries the input's theta.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
@@ -414,10 +420,10 @@ def evolve_density_series(
     log_fact = _log_factorials(d + kmax)  # up to n + k = d - 1 + kmax
     out = []
     for t, band in zip(times, _output_bands(params, input, log_fact, d, kmax, times)):
-        trace = band[0].real.sum()
+        trace = band[0].sum()
         _check_band(band, d, t, 1.0 - trace)
         band /= trace
-        out.append(FockState(band))
+        out.append(FockState(band, input.theta))
     return out
 
 
@@ -426,11 +432,12 @@ def pegg_barnett_distribution(state: FockState) -> PhaseDensity:
 
     p(phi_m) = [(s+1)/2pi] <phi_m|rho|phi_m> on phi_m = 2pi m/(s+1), a grid
     over [0, 2pi); in Fourier form (1/2pi)[2 Re sum_k c_k e^(-ik phi_m) - c_0]
-    with c_k the band's offset sums: one FFT of c_k zero-padded to s+1 points.
-    The grid sum integrates to trace(rho) exactly.
+    with c_k = e^(ik theta) sum_n band[k, n] the offset sums of rho: the
+    kmax + 1 real band sums turned by the state's phase, then one FFT of c_k
+    zero-padded to s+1 points.  The grid sum integrates to trace(rho) exactly.
     """
     d = state.cutoff_s + 1
-    c = state.band.sum(axis=1)
+    c = state.band.sum(axis=1) * np.exp(1j * np.arange(len(state.band)) * state.theta)
     dens = (2 * np.fft.fft(c, n=d).real - c[0].real) / (2 * np.pi)
     return PhaseDensity(phi_grid=2 * np.pi * np.arange(d) / d, density=np.maximum(dens, 0.0))
 

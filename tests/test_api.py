@@ -57,4 +57,4 @@ def test_fock_surface_is_pinned():
 
     assert names(phasediff.pegg_barnett_distribution) == ["state"]
     assert names(phasediff.fock_cutoff) == ["params", "input", "t"]
-    assert [f.name for f in dataclasses.fields(phasediff.FockState)] == ["band"]
+    assert [f.name for f in dataclasses.fields(phasediff.FockState)] == ["band", "theta"]

@@ -127,12 +127,23 @@ def pegg_barnett_by_offsets(rho):
 
 
 def band_of(rho, kmax):
-    """Offset band of a dense matrix, zero past the cutoff."""
+    """Offset band of a dense matrix, zero past the cutoff, in the matrix's dtype."""
     d = len(rho)
-    band = np.zeros((kmax + 1, d), dtype=complex)
+    band = np.zeros((kmax + 1, d), dtype=rho.dtype)
     for k in range(kmax + 1):
         band[k, : d - k] = np.diagonal(rho, -k)
     return band
+
+
+def dense_of(band):
+    """Hermitian dense matrix whose lower offsets are a complex band's rows."""
+    d = band.shape[1]
+    rho = np.zeros((d, d), dtype=complex)
+    for k in range(len(band)):
+        rho += np.diag(band[k, : d - k], -k)
+        if k:
+            rho += np.diag(band[k, : d - k].conj(), k)
+    return rho
 
 
 def evolve(params, input, cutoff_s, t):
@@ -140,7 +151,7 @@ def evolve(params, input, cutoff_s, t):
 
 
 def photon_moments(state):
-    p = state.band[0].real
+    p = state.band[0]
     n = np.arange(len(p))
     mean = (n * p).sum()
     return p.sum(), mean, ((n - mean) ** 2 * p).sum()
@@ -160,10 +171,11 @@ class TestClosedFormAgainstRk4:
         states = evolve_density_series(params, input, cutoff, times)
         for state, band in zip(states, rk4_master_equation(params, input, cutoff, times)):
             assert state.band.shape == band.shape
-            assert np.abs(state.band - band).max() < 1e-10
-            oracle = FockState(band=band)
+            assert state.theta == input.theta
+            phase = np.exp(1j * np.arange(len(band)) * input.theta)[:, None]
+            assert np.abs(state.band * phase - band).max() < 1e-10
             pb = pegg_barnett_distribution(state).density
-            pb_oracle = pegg_barnett_distribution(oracle).density
+            pb_oracle = pegg_barnett_by_offsets(dense_of(band))
             assert np.abs(pb - pb_oracle).max() < 1e-10
 
     def test_times_are_independent(self):
@@ -214,10 +226,10 @@ class TestPhotonStatistics:
         inp = CoherentInput(amplitude_sq, 0.0)
         g = float(gain(params, t))
         s = _chernoff_count_cutoff(g * amplitude_sq, params.noise_ratio * (g - 1.0), tail)
-        populations = evolve(params, inp, 2 * s, t).band[0].real
+        populations = evolve(params, inp, 2 * s, t).band[0]
         assert populations[s + 1:].sum() <= tail
         s = fock_cutoff(params, inp, t)
-        populations = evolve(params, inp, 2 * s, t).band[0].real
+        populations = evolve(params, inp, 2 * s, t).band[0]
         assert populations[s + 1:].sum() <= CUTOFF_TAIL
 
     @pytest.mark.parametrize("thermal", [1e3, 1e8, 4.85e8, 1e12])
@@ -255,7 +267,7 @@ class TestGuards:
 
     def test_guard_counts_population_past_the_cutoff(self):
         inp = CoherentInput(2.25, 0.0)
-        p = evolve(IDEAL_1, inp, 400, 2.0).band[0].real
+        p = evolve(IDEAL_1, inp, 400, 2.0).band[0]
         at_or_past = p[::-1].cumsum()[::-1]
         # a cutoff whose top level alone passes but whose escaped population does not
         s = int(np.flatnonzero((p < 1e-6) & (at_or_past > 2e-6))[0])
@@ -272,7 +284,7 @@ class TestGuards:
                 evolve_density_series(IDEAL_1, CoherentInput(1000.0), 48, [0.5])
 
     def test_band_edge_guard(self):
-        band = np.zeros((6, 20), dtype=complex)
+        band = np.zeros((6, 20))
         band[0, 0] = 1.0
         _check_band(band, 20, 1.0, 0.0)
         band[-1, 3] = 1e-9
@@ -376,8 +388,7 @@ def separate_ratio_bands(params, input, log_fact, d, kmax, times):
     log1p_nbar = np.log1p(nbar)
     half_log_beta_sq = 0.5 * np.log(beta_sq)
     inside = n + kk < d
-    phase = np.exp(1j * kk * input.theta)
-    bands = np.empty((len(times), kmax + 1, d), dtype=complex)
+    bands = np.empty((len(times), kmax + 1, d))
     for i in range(len(times)):
         log_band = np.log(ratios[:, i])
         np.cumsum(log_band, axis=0, out=log_band)
@@ -388,7 +399,7 @@ def separate_ratio_bands(params, input, log_fact, d, kmax, times):
             + kk * half_log_beta_sq[i]
             - y[i]
         )
-        np.multiply(np.where(inside, np.exp(log_band), 0.0), phase, out=bands[i])
+        bands[i] = np.where(inside, np.exp(log_band), 0.0)
     return bands
 
 
@@ -396,7 +407,7 @@ def first_guard_trip(bands, d, times):
     """The message evolve_density_series raises on these bands, or None."""
     for t, band in zip(times, bands):
         try:
-            _check_band(band, d, t, 1.0 - band[0].real.sum())
+            _check_band(band, d, t, 1.0 - band[0].sum())
         except GuardTripError as exc:
             return str(exc)
     return None
@@ -432,16 +443,37 @@ class TestBandsInPlace:
                 outcomes.add(message and message.split()[0])
         assert outcomes == {None, "top", "coherence"}
 
+    @pytest.mark.parametrize("params, amplitude_sq, times", [
+        (IDEAL_1, 2.25, [0.0, 0.4, 1.5]), (LOSSY, 6.0, [0.2]), (IDEAL_1, 30.0, [0.1, 0.3])])
+    def test_states_share_one_real_nonnegative_array(self, params, amplitude_sq, times):
+        inp = CoherentInput(amplitude_sq, -1.2)
+        cutoff = fock_cutoff(params, inp, times[-1])
+        states = evolve_density_series(params, inp, cutoff, times)
+        base = states[0].band.base
+        assert base.dtype == np.float64
+        assert base.shape == (len(times), states[0].band.shape[0], cutoff + 1)
+        for i, state in enumerate(states):
+            assert state.band.base is base
+            assert np.shares_memory(state.band, base[i])
+            assert state.band.min() >= 0.0
+            assert state.theta == -1.2
+
 
 class TestFockState:
     def test_rejects_malformed_bands(self):
-        good = band_of(coherent_state(CoherentInput(2.0, 0.3), 30), 12)
-        assert FockState(good).cutoff_s == 30
+        good = band_of(coherent_state(CoherentInput(2.0, 0.0), 30).real, 12)
+        assert FockState(good, 0.3).cutoff_s == 30
         for shape in ((32, 31), (31,), (0, 31)):
-            with pytest.raises(ValueError, match="band must be"):
-                FockState(np.zeros(shape, dtype=complex))
+            with pytest.raises(ValueError, match=r"band must be \(kmax"):
+                FockState(np.zeros(shape), 0.3)
+        # a complex band, even one whose entries are all real, and an integer one
+        for bad in (good.astype(complex), np.eye(13, 31, dtype=int)):
+            with pytest.raises(ValueError, match="band must be real floating point"):
+                FockState(bad, 0.3)
+        for theta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                FockState(good, theta)
         cases = {
-            "diagonal must be real": (0, 2, 1e-11j),
             "past the cutoff": (12, 25, 1e-300),
             "trace must be 1": (0, 5, 1e-8),
         }
@@ -449,7 +481,7 @@ class TestFockState:
             bad = good.copy()
             bad[k, n] += delta
             with pytest.raises(ValueError, match=message):
-                FockState(bad)
+                FockState(bad, 0.3)
 
     def test_dense_view_is_the_band_and_exactly_hermitian(self):
         rng = np.random.default_rng(11)
@@ -462,7 +494,8 @@ class TestFockState:
             d = state.cutoff_s + 1
             kmax = state.band.shape[0] - 1
             for k in range(kmax + 1):
-                np.testing.assert_array_equal(np.diagonal(rho, -k), state.band[k, : d - k])
+                np.testing.assert_array_equal(np.diagonal(rho, -k),
+                                              state.band[k, : d - k] * np.exp(1j * k * inp.theta))
             assert not np.any(np.tril(rho, -kmax - 1))
             np.testing.assert_array_equal(rho, rho.conj().T)
 
@@ -487,14 +520,18 @@ class TestPhaseDensities:
             assert np.abs(pb.density - pegg_barnett_by_offsets(state.rho)).max() < 1e-13
 
     def test_fft_matches_the_offset_sums_on_a_full_width_band(self):
+        # a real nonnegative state rotated by theta: rho[m, n] e^(i(m - n) theta)
         rng = np.random.default_rng(19)
         for cutoff in (8, 33, 64):
-            a = rng.normal(size=(cutoff + 1, 3)) + 1j * rng.normal(size=(cutoff + 1, 3))
-            rho = a @ a.conj().T
-            rho /= np.trace(rho).real
-            state = FockState(band_of(rho, cutoff))
+            a = rng.uniform(size=(cutoff + 1, 3))
+            rho = a @ a.T
+            rho /= np.trace(rho)
+            theta = rng.uniform(-np.pi, np.pi)
+            turn = np.exp(1j * np.arange(cutoff + 1) * theta)
+            state = FockState(band_of(rho, cutoff), theta)
             pb = pegg_barnett_distribution(state).density
-            assert np.abs(pb - pegg_barnett_by_offsets(rho)).max() < 1e-13
+            rotated = turn[:, None] * rho * turn.conj()
+            assert np.abs(pb - pegg_barnett_by_offsets(rotated)).max() < 1e-13
 
     def test_p_function_is_normalized_and_symmetric(self):
         rng = np.random.default_rng(5)
@@ -521,7 +558,7 @@ class TestPhaseDensities:
             state = evolve(params, inp, fock_cutoff(params, inp, t), t)
             n = np.arange(state.cutoff_s + 1)
             a_mean = (np.sqrt(n + 1) * state.band[1]).sum()
-            n_mean = (n * state.band[0].real).sum()
+            n_mean = (n * state.band[0]).sum()
             signal = abs(a_mean) ** 2
             assert eta(params, inp.amplitude_sq, t) == pytest.approx(
                 signal / (n_mean - signal), rel=1e-9)

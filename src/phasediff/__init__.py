@@ -36,9 +36,10 @@ from .distributions import (
     pegg_barnett_distribution,
     distribution_variance,
 )
-from .config import ConfigError, ExperimentConfig, validate_config, experiment_defaults
+from .config import (ConfigError, ExperimentConfig, validate_config, experiment_defaults,
+                     list_experiments)
 from .errors import GuardTripError
-from .experiments import ResultBundle, list_experiments, run_experiment
+from .experiments import ResultBundle, run_experiment
 
 __all__ = [
     "AmplifierParams",

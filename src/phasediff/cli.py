@@ -24,9 +24,9 @@ import sys
 import warnings
 from pathlib import Path
 
-from .config import ConfigError, parse_document, validate_config
+from .config import ConfigError, list_experiments, parse_document, validate_config
 from .errors import GuardTripError
-from .experiments import list_experiments, run_experiment
+from .experiments import run_experiment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

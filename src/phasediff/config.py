@@ -13,11 +13,13 @@ document (defaults merged with the user's keys) is echoed into the run
 metadata so the metadata alone pins the run.  Validation is aggregated: all
 problems are reported at once, each naming its field.
 
-The Fock cutoff is no field: a run takes distributions.fock_cutoff, the one
-cutoff rule, at its last time and records it in the sidecar.  Validation
-refuses, naming times or t_max, a run whose cutoff that rule refuses or whose
-Fock arrays exceed physical memory, and, naming n_traj, an SDE run whose
-arrays (phasediff.sde._integrate_bytes) do.
+The Fock cutoff is no field: validation resolves a Fock run's times (its
+record's rule) and distributions.fock_cutoff, the one cutoff rule, at the
+last of them, and the config carries both to the run, which records the
+cutoff in the sidecar.  Validation refuses, naming times or t_max, a run whose
+cutoff that rule refuses or whose Fock arrays exceed physical memory, and,
+naming n_traj, an SDE run whose arrays (phasediff.sde._integrate_bytes of its
+record's simulator, store and reduce) do.
 """
 
 from __future__ import annotations
@@ -27,13 +29,16 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .distributions import MIN_GAIN_EXPONENT, _fock_bytes, fock_cutoff
 from .params import AmplifierParams, CoherentInput
 from .sde import SdeConfig, _integrate_bytes, _physical_memory
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_document", "validate_config",
-           "experiment_defaults"]
+           "experiment_defaults", "list_experiments"]
 
 
 class ConfigError(ValueError):
@@ -65,48 +70,63 @@ _RUN = {"master_seed": None, "out": "results"}  # master_seed is required
 # made at pi
 _INPUT_PHASE = math.pi
 
-# experiment name -> (description, schema: every field it reads, with its default)
-_EXPERIMENTS: dict[str, tuple[str, dict]] = {
-    "number-fan": (
+
+class _Experiment(NamedTuple):
+    """A registered experiment: its description and its schema (every field it
+    reads, with its default); an SDE run's (simulator name, store, reduce); a
+    Fock run's (rule for its times, fields naming its earliest and latest time)."""
+
+    description: str
+    schema: dict
+    sde: tuple[str, tuple[str, ...], tuple[str, ...]] | None = None
+    fock: tuple[Callable[[dict], tuple[float, ...]], str, str] | None = None
+
+
+_EXPERIMENTS = {
+    "number-fan": _Experiment(
         "photon-number trajectory fan with ensemble mean vs the closed form",
         {**_AMPLIFIER, "kappa_up": 2.0, "amplitude_sq": 3.0,
          **_SDE, "n_traj": 50, "dt": 5e-4, "t_max": 2.0, "record_every": 20},
+        sde=("simulate_polar", ("n",), ("n",)),
     ),
-    "variance-compare": (
+    "variance-compare": _Experiment(
         "sample phase variance vs inverse-moment orders and the small-noise bound",
         {**_AMPLIFIER, "amplitude_sq": 2.25, **_SDE, "expansion_order": 4},
+        sde=("simulate_polar", (), ("phi",)),
     ),
-    "snr-input": (
+    "snr-input": _Experiment(
         "inverse signal-to-noise ratio over time for several input strengths",
         {**_AMPLIFIER, "n0_list": [2.0, 3.0, 6.0, 13.0], "t_max": 6.0, "n_time_points": 301},
     ),
-    "snr-nonideal": (
+    "snr-nonideal": _Experiment(
         "inverse SNR vs time and its high-gain limit vs input, per loss level",
         {"amplitude_sq": 3.0, "nonideal_pairs": [[0.6, 0.4], [0.7, 0.3], [0.8, 0.2], [1.0, 0.0]],
          "t_max": 15.0, "n_time_points": 301, "input_grid_max": 30.0, "input_grid_points": 301},
     ),
-    "inverse-expansion": (
+    "inverse-expansion": _Experiment(
         "mean reciprocal photon number: trajectories vs expansion orders",
         {**_AMPLIFIER, "kappa_up": 2.0, "amplitude_sq": 3.0,
          **_SDE, "n_traj": 200, "dt": 5e-4, "t_max": 2.0, "record_every": 20,
          "expansion_order": 3},
+        sde=("simulate_inverse", (), ("upsilon",)),
     ),
-    "dist-converge": (
+    "dist-converge": _Experiment(
         "phase densities from the closed form and the Fock reference at two times",
         {**_AMPLIFIER, "amplitude_sq": 2.25, "times": [0.1, 4.0]},
+        fock=(lambda r: tuple(float(t) for t in r["times"]), "times", "times"),
     ),
-    "variance-from-dist": (
+    "variance-from-dist": _Experiment(
         "phase variance over time from both phase densities",
         {**_AMPLIFIER, "amplitude_sq": 2.25, "t_min": 0.1, "t_max": 4.0, "n_time_points": 16},
+        fock=(lambda r: tuple(np.linspace(r["t_min"], r["t_max"], r["n_time_points"]).tolist()),
+              "t_min", "t_max"),
     ),
 }
 
 
-# what each SDE experiment's run makes (see phasediff.experiments): the noise
-# columns its stepper draws, the variables whose paths it stores, and those it
-# reduces without storing
-_SDE_ARRAYS = {"number-fan": (2, 1, 0), "variance-compare": (2, 0, 1),
-               "inverse-expansion": (1, 0, 1)}
+def list_experiments() -> dict[str, str]:
+    """Registered experiment names with one-line descriptions."""
+    return {name: record.description for name, record in _EXPERIMENTS.items()}
 
 
 def _integer(v) -> bool:
@@ -153,37 +173,31 @@ _CHECKS = {
 }
 
 
-def _fock_memory(resolved: dict, params: AmplifierParams, input_: CoherentInput) -> list:
-    """[(field, message)] when a Fock experiment's arrays exceed physical memory."""
-    key, t, n_times = (("times", resolved["times"][-1], len(resolved["times"]))
-                       if "times" in resolved else
-                       ("t_max", resolved["t_max"], resolved["n_time_points"]))
+def _fock_cutoff(params: AmplifierParams, input_: CoherentInput, times: tuple[float, ...],
+                key: str) -> tuple[int | None, list]:
+    """The Fock cutoff at a run's last time, and [(key, message)] when the
+    cutoff rule refuses that time or the run's arrays exceed physical memory."""
     have = _physical_memory()
     try:
-        cutoff = fock_cutoff(params, input_, t)
+        cutoff = fock_cutoff(params, input_, times[-1])
     except ValueError as exc:
-        return [(key, f"{exc}: no Fock basis that large fits the {have:.3g} bytes of "
-                      "physical memory")]
-    need = _fock_bytes(input_, cutoff, n_times, have)
-    return [] if need <= have else [(key, (
-        f"needs at least {need:.3g} bytes (a Fock cutoff of {cutoff} at {n_times} times), "
+        return None, [(key, f"{exc}: no Fock basis that large fits the {have:.3g} bytes of "
+                            "physical memory")]
+    need = _fock_bytes(input_, cutoff, len(times), have)
+    return cutoff, [] if need <= have else [(key, (
+        f"needs at least {need:.3g} bytes (a Fock cutoff of {cutoff} at {len(times)} times), "
         f"more than the {have:.3g} bytes of physical memory"))]
 
 
 def experiment_defaults(experiment: str) -> dict:
     """Fully-resolved default document for one experiment (a fresh copy on each call)."""
-    if experiment not in _EXPERIMENTS:
-        raise KeyError(experiment)
-    return copy.deepcopy({**_EXPERIMENTS[experiment][1], **_RUN, "experiment": experiment})
-
-
-def experiment_registry() -> dict[str, str]:
-    return {name: spec[0] for name, spec in _EXPERIMENTS.items()}
+    return copy.deepcopy({**_EXPERIMENTS[experiment].schema, **_RUN, "experiment": experiment})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated run; params, input and sde are None when the schema lacks their fields."""
+    """A validated run; params, input and sde are None when the schema lacks their fields,
+    and times and cutoff_s (the Fock cutoff at the last time) when it is no Fock run."""
 
     experiment: str
     resolved: dict = field(repr=False)
@@ -191,6 +205,8 @@ class ExperimentConfig:
     input: CoherentInput | None = None
     sde: SdeConfig | None = None
     out_dir: Path = Path("results")
+    times: tuple[float, ...] | None = None
+    cutoff_s: int | None = None
 
 
 def parse_document(raw) -> dict:
@@ -239,7 +255,8 @@ def validate_config(raw) -> ExperimentConfig:
             if not valid(value):
                 errors.append((key, f"expected {describe}, got {value!r}"))
 
-    params = input_ = sde = None
+    record = _EXPERIMENTS[experiment]
+    params = input_ = sde = times = cutoff_s = None
     if not errors:
         if "kappa_up" in resolved:
             try:
@@ -259,7 +276,7 @@ def validate_config(raw) -> ExperimentConfig:
                 errors.append(("dt/t_max/n_traj", str(exc)))
 
         if sde is not None:
-            need, have = _integrate_bytes(sde, *_SDE_ARRAYS[experiment]), _physical_memory()
+            need, have = _integrate_bytes(sde, *record.sde), _physical_memory()
             if need > have:
                 errors.append(("n_traj", f"{sde.n_traj} trajectories of {sde.n_recorded} "
                                          f"recorded times need {need:.3g} bytes, more than the "
@@ -278,14 +295,16 @@ def validate_config(raw) -> ExperimentConfig:
         t_min = resolved.get("t_min")
         if t_min is not None and not 0 < t_min <= resolved["t_max"]:
             errors.append(("t_min", f"must satisfy 0 < t_min <= t_max, got {t_min!r}"))
-        elif params is not None and ("times" in resolved or t_min is not None):
+        elif params is not None and record.fock is not None:
+            rule, first, last = record.fock
+            times = rule(resolved)
             # the phase densities need a gain above 1 at their earliest time (see eta)
-            key, t = ("times", resolved["times"][0]) if "times" in resolved else ("t_min", t_min)
-            if not params.kappa_minus * t > MIN_GAIN_EXPONENT:
-                errors.append((key, f"kappa_minus * t must exceed {MIN_GAIN_EXPONENT:g} "
-                                    f"(a gain above 1), got t = {t!r}"))
-        if not errors and experiment in ("dist-converge", "variance-from-dist"):
-            errors += _fock_memory(resolved, params, input_)
+            if not params.kappa_minus * times[0] > MIN_GAIN_EXPONENT:
+                errors.append((first, f"kappa_minus * t must exceed {MIN_GAIN_EXPONENT:g} "
+                                      f"(a gain above 1), got t = {times[0]!r}"))
+            elif not errors:
+                cutoff_s, fock_errors = _fock_cutoff(params, input_, times, last)
+                errors += fock_errors
 
     if errors:
         raise ConfigError(errors)
@@ -296,4 +315,6 @@ def validate_config(raw) -> ExperimentConfig:
         input=input_,
         sde=sde,
         out_dir=Path(resolved["out"]),
+        times=times,
+        cutoff_s=cutoff_s,
     )

@@ -191,6 +191,8 @@ class PhaseDensity:
     def __post_init__(self):
         if self.phi_grid.shape != self.density.shape:
             raise ValueError("grid and density must have equal shapes")
+        if not np.isfinite(self.density).all():
+            raise ValueError("density must be finite")
         if np.any(self.density < -1e-9):
             raise ValueError("density must be nonnegative")
         h = self.spacing

@@ -33,12 +33,11 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from ._fork import run_ranges
-from .config import ConfigError, ExperimentConfig, experiment_registry
+from .config import _EXPERIMENTS, ConfigError, ExperimentConfig
 from .distributions import (
     PhaseDensity,
     distribution_variance,
     evolve_density_series,
-    fock_cutoff,
     p_function_phase_density,
     pegg_barnett_distribution,
 )
@@ -49,7 +48,7 @@ from .params import AmplifierParams, CoherentInput
 from .sde import ensemble_stats, simulate_inverse, simulate_polar
 from .smallnoise import small_noise_phase_variance
 
-__all__ = ["ResultBundle", "run_experiment", "list_experiments"]
+__all__ = ["ResultBundle", "run_experiment"]
 
 ABORT_FRACTION_LIMIT = 0.10
 
@@ -104,11 +103,19 @@ def _check_aborts(ensemble, metadata):
         )
 
 
-def _run_number_fan(cfg: ExperimentConfig):
-    ens = simulate_polar(cfg.params, cfg.input, cfg.sde, store=("n",), reduce=("n",))
+def _simulated(cfg: ExperimentConfig, simulate):
+    """simulate's ensemble, storing and reducing what the experiment's record
+    names, the statistics of the one variable it reduces, and its abort record."""
+    _, store, reduce = _EXPERIMENTS[cfg.experiment].sde
+    ens = simulate(cfg.params, cfg.input, cfg.sde, store=store, reduce=reduce)
     meta_extra: dict = {}
     _check_aborts(ens, meta_extra)
-    stats = ensemble_stats(ens, "n")["n"]
+    (name,) = reduce
+    return ens, ensemble_stats(ens, name)[name], meta_extra
+
+
+def _run_number_fan(cfg: ExperimentConfig):
+    ens, stats, meta_extra = _simulated(cfg, simulate_polar)
     t = ens.times
     analytic = mean_photon(cfg.params, cfg.input.amplitude_sq, t)
     header = ["t", "sample_mean", "sample_se", "analytic_mean"]
@@ -122,10 +129,7 @@ def _run_number_fan(cfg: ExperimentConfig):
 
 
 def _run_variance_compare(cfg: ExperimentConfig):
-    ens = simulate_polar(cfg.params, cfg.input, cfg.sde, store=(), reduce=("phi",))
-    meta_extra: dict = {}
-    _check_aborts(ens, meta_extra)
-    stats = ensemble_stats(ens, "phi")["phi"]
+    ens, stats, meta_extra = _simulated(cfg, simulate_polar)
     t = ens.times
     k = cfg.resolved["expansion_order"]
     orders = phase_variance_expansion(cfg.params, cfg.input, k, t)
@@ -173,10 +177,7 @@ def _run_snr_nonideal(cfg: ExperimentConfig):
 
 
 def _run_inverse_expansion(cfg: ExperimentConfig):
-    ens = simulate_inverse(cfg.params, cfg.input, cfg.sde, store=(), reduce=("upsilon",))
-    meta_extra: dict = {}
-    _check_aborts(ens, meta_extra)
-    stats = ensemble_stats(ens, "upsilon")["upsilon"]
+    ens, stats, meta_extra = _simulated(cfg, simulate_inverse)
     t = ens.times
     header = ["t", "mc_mean", "mc_se"]
     cols = [t, stats.mean, stats.se_mean]
@@ -191,11 +192,9 @@ def _run_inverse_expansion(cfg: ExperimentConfig):
 
 
 def _run_dist_converge(cfg: ExperimentConfig):
-    times = [float(t) for t in cfg.resolved["times"]]
-    cutoff = fock_cutoff(cfg.params, cfg.input, times[-1])
-    states = evolve_density_series(cfg.params, cfg.input, cutoff, times)
-    files, meta_extra = {}, {"cutoff_s": cutoff, "times": times}
-    for i, (t, state) in enumerate(zip(times, states), start=1):
+    states = evolve_density_series(cfg.params, cfg.input, cfg.cutoff_s, cfg.times)
+    files, meta_extra = {}, {"cutoff_s": cfg.cutoff_s, "times": list(cfg.times)}
+    for i, (t, state) in enumerate(zip(cfg.times, states), start=1):
         pb = pegg_barnett_distribution(state)
         p_closed = p_function_phase_density(cfg.params, cfg.input, t, pb.phi_grid)
         files[f"dist-converge.t{i}.csv"] = _csv_body(
@@ -207,22 +206,19 @@ def _run_dist_converge(cfg: ExperimentConfig):
 
 
 def _run_variance_from_dist(cfg: ExperimentConfig):
-    times = np.linspace(cfg.resolved["t_min"], cfg.resolved["t_max"],
-                        cfg.resolved["n_time_points"])
-    cutoff = fock_cutoff(cfg.params, cfg.input, float(times[-1]))
-    states = evolve_density_series(cfg.params, cfg.input, cutoff, times)
+    states = evolve_density_series(cfg.params, cfg.input, cfg.cutoff_s, cfg.times)
     var_pb = np.array([distribution_variance(pegg_barnett_distribution(s)) for s in states])
     grid = 2 * np.pi * np.arange(4096) / 4096
     var_p = np.array([
         distribution_variance(PhaseDensity(
-            grid, p_function_phase_density(cfg.params, cfg.input, float(t), grid)))
-        for t in times
+            grid, p_function_phase_density(cfg.params, cfg.input, t, grid)))
+        for t in cfg.times
     ])
     prov = {"t": "grid", "variance_p_function": "analytic",
             "variance_pegg_barnett": "master-equation"}
     body = _csv_body(["t", "variance_p_function", "variance_pegg_barnett"],
-                     [times, var_p, var_pb])
-    return {"variance-from-dist.csv": body}, prov, {"cutoff_s": cutoff}
+                     [np.array(cfg.times), var_p, var_pb])
+    return {"variance-from-dist.csv": body}, prov, {"cutoff_s": cfg.cutoff_s}
 
 
 _RUNNERS = {
@@ -234,11 +230,6 @@ _RUNNERS = {
     "dist-converge": _run_dist_converge,
     "variance-from-dist": _run_variance_from_dist,
 }
-
-
-def list_experiments() -> dict[str, str]:
-    """Registered experiment names with one-line descriptions."""
-    return experiment_registry()
 
 
 def _out_error(cfg: ExperimentConfig, exc: OSError) -> ConfigError:

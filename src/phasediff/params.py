@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -18,10 +19,10 @@ class AmplifierParams:
     kappa_down: float = 0.0
 
     def __post_init__(self):
-        if not self.kappa_up > 0:
-            raise ValueError(f"kappa_up must be > 0, got {self.kappa_up}")
-        if self.kappa_down < 0:
-            raise ValueError(f"kappa_down must be >= 0, got {self.kappa_down}")
+        if not 0 < self.kappa_up < math.inf:
+            raise ValueError(f"kappa_up must be finite and > 0, got {self.kappa_up}")
+        if not 0 <= self.kappa_down < math.inf:
+            raise ValueError(f"kappa_down must be finite and >= 0, got {self.kappa_down}")
         if not self.kappa_minus > 0:
             raise ValueError(
                 "amplifying operation requires kappa_up > kappa_down, got "
@@ -52,5 +53,7 @@ class CoherentInput:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not self.amplitude_sq > 0:
-            raise ValueError(f"amplitude_sq must be > 0, got {self.amplitude_sq}")
+        if not 0 < self.amplitude_sq < math.inf:
+            raise ValueError(f"amplitude_sq must be finite and > 0, got {self.amplitude_sq}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")

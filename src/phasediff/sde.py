@@ -105,8 +105,8 @@ class SdeConfig:
     record_every and master_seed are ints (none of them bools); record_every
     only thins the stored grid.  A grid whose step mask, recorded times and
     guard counts alone would not fit in physical memory is refused
-    (phasediff.config checks every array a run makes, _integrate_bytes,
-    knowing what each experiment stores and reduces).
+    (phasediff.config checks every array a run makes, _integrate_bytes of
+    the simulator, store and reduce each experiment's record names).
     Every step draws exactly two normals per trajectory (number noise, then
     phase noise), each scaled by sqrt(dt).
     """
@@ -264,10 +264,14 @@ def _batch_width(config: SdeConfig) -> int:
     return -(-config.chunk_size // _TILE) * _TILE
 
 
-def _integrate_bytes(config: SdeConfig, columns: int, stored: int, reduced: int) -> int:
-    """Bytes of the arrays _integrate makes for a run with `columns` noise
-    columns that stores the paths of `stored` variables and reduces `reduced`
-    more without storing them.
+# simulator -> the variables it records and the noise columns its stepper draws
+_SIMULATORS = {"simulate_polar": (("n", "phi"), 2), "simulate_inverse": (("upsilon",), 1)}
+
+
+def _integrate_bytes(config: SdeConfig, simulator: str, store, reduce) -> int:
+    """Bytes of the arrays _integrate makes for a run of `simulator` (its name)
+    that stores the paths of the variables in `store` and reduces those in
+    `reduce`.
 
     The calling process holds the step mask, the recorded steps and times, the
     guard counts and the stored paths.  Each worker, one per range of
@@ -275,6 +279,7 @@ def _integrate_bytes(config: SdeConfig, columns: int, stored: int, reduced: int)
     reduces but does not store and a noise block with its tile buffer, each
     as wide as the worker's first batch.
     """
+    columns, stored, reduced = _SIMULATORS[simulator][1], len(store), len(set(reduce) - set(store))
     n, m = config.n_traj, config.n_recorded
     b = min(_BLOCK_STEPS, config.n_steps)
     total = config.n_steps + 1 + 16 * m + 8 * n * (1 + stored * m)
@@ -284,8 +289,9 @@ def _integrate_bytes(config: SdeConfig, columns: int, stored: int, reduced: int)
     return total
 
 
-def _integrate(params, input, config, stepper, names, noise_columns, store, reduce):
+def _integrate(params, input, config, stepper, simulator, store, reduce):
     """Run stepper over the ensemble; store and reduce name the variables wanted."""
+    names, noise_columns = _SIMULATORS[simulator]
     for name in (*store, *reduce):
         if name not in names:
             raise ValueError(f"unknown variable {name!r}; this simulation records {names}")
@@ -492,7 +498,7 @@ def simulate_polar(params: AmplifierParams, input: CoherentInput, config: SdeCon
     those whose statistics the workers reduce for ensemble_stats (by default
     both of each); a variable named in neither is not recorded.
     """
-    return _integrate(params, input, config, _polar_stepper, ("n", "phi"), 2, store, reduce)
+    return _integrate(params, input, config, _polar_stepper, "simulate_polar", store, reduce)
 
 
 def simulate_inverse(params: AmplifierParams, input: CoherentInput, config: SdeConfig, *,
@@ -511,7 +517,7 @@ def simulate_inverse(params: AmplifierParams, input: CoherentInput, config: SdeC
         raise ValueError(
             f"amplitude_sq must exceed 1 for the reciprocal process, got {input.amplitude_sq}"
         )
-    return _integrate(params, input, config, _inverse_stepper, ("upsilon",), 1, store, reduce)
+    return _integrate(params, input, config, _inverse_stepper, "simulate_inverse", store, reduce)
 
 
 @dataclass(frozen=True, eq=False)

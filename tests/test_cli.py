@@ -12,7 +12,7 @@ import pytest
 
 import phasediff
 from phasediff.cli import main
-from phasediff.config import _SDE_ARRAYS
+from phasediff.config import _EXPERIMENTS
 from phasediff.distributions import _fock_bytes
 from phasediff.sde import _integrate_bytes
 
@@ -128,7 +128,7 @@ def test_number_fan_whose_paths_exceed_memory_exits_2(tmp_path, capsys, monkeypa
     assert "physical memory" in record["details"][0]["message"]
 
 
-@pytest.mark.parametrize("command", ["number-fan", "variance-compare", "inverse-expansion"])
+@pytest.mark.parametrize("command", sorted(n for n, record in _EXPERIMENTS.items() if record.sde))
 def test_sde_arrays_just_past_memory_exit_2(tmp_path, capsys, monkeypatch, command):
     # the default run's count of the arrays it makes, stored or not: a byte
     # less memory is refused, naming n_traj, before anything is mapped; that
@@ -137,7 +137,7 @@ def test_sde_arrays_just_past_memory_exit_2(tmp_path, capsys, monkeypatch, comma
         raise AssertionError(f"mapped an array of shape {shape}")
 
     sde = phasediff.validate_config({"experiment": command, "master_seed": 1}).sde
-    need = _integrate_bytes(sde, *_SDE_ARRAYS[command])
+    need = _integrate_bytes(sde, *_EXPERIMENTS[command].sde)
     assert need > 8 * sde.n_traj * sde.n_recorded  # more than one path array
     monkeypatch.setattr(phasediff.sde, "_mapped", refuse)
     monkeypatch.setattr(phasediff.config, "_physical_memory", lambda: need - 1)

@@ -2,12 +2,14 @@
 
 import json
 import math
+import sys
 
 import pytest
 
+import phasediff
 from phasediff import ConfigError, experiment_defaults, list_experiments, run_experiment
 from phasediff import validate_config
-from phasediff.config import _CHECKS
+from phasediff.config import _CHECKS, _EXPERIMENTS
 
 AMPLIFIER = ["kappa_up", "kappa_down"]
 SDE = ["dt", "t_max", "n_traj", "floor_epsilon", "record_every"]
@@ -95,10 +97,16 @@ def test_sidecar_reruns_bit_identically(tmp_path, experiment):
            **SMALL[experiment]}
     first = run_experiment(validate_config(doc))
     sidecar = tmp_path / f"{experiment}.meta.json"
+    metas = [json.loads(sidecar.read_text())]
     second = run_experiment(validate_config(sidecar.read_text()))
+    metas.append(json.loads(sidecar.read_text()))
     assert second.csv_files == first.csv_files
     for name, body in first.csv_files.items():
         assert (tmp_path / name).read_text() == body
+    # the rerun writes to the same directory, so only the timing fields vary
+    for meta in metas:
+        del meta["written_at"], meta["wall_time_s"]
+    assert metas[1] == metas[0]
 
 
 @pytest.mark.parametrize("experiment", ["inverse-expansion", "variance-compare"])
@@ -117,3 +125,43 @@ def test_first_order_sidecar_is_strict_json(tmp_path, experiment):
                                              "flagged": False}
     second = run_experiment(validate_config(text))
     assert second.csv_files == first.csv_files
+
+
+def test_validation_plans_the_fock_times_the_run_uses(tmp_path, monkeypatch):
+    # one time: the run's last time is t_min, and validation sizes that, not t_max
+    # (a Fock cutoff of 2e10 at t_max 20 would need 5e12 bytes)
+    sized = []
+    real = phasediff.config._fock_bytes
+
+    def sizing(input_, cutoff, n_times, limit):
+        sized.append((cutoff, n_times))
+        return real(input_, cutoff, n_times, limit)
+
+    monkeypatch.setattr(phasediff.config, "_fock_bytes", sizing)
+    cfg = validate_config({"experiment": "variance-from-dist", "master_seed": 1,
+                           "n_time_points": 1, "t_max": 20.0, "out": str(tmp_path)})
+    cutoff = phasediff.fock_cutoff(cfg.params, cfg.input, 0.1)
+    assert cfg.times == (0.1,) and cfg.cutoff_s == cutoff
+    assert sized == [(cutoff, 1)]
+    run_experiment(cfg)
+    meta = json.loads((tmp_path / "variance-from-dist.meta.json").read_text())
+    assert meta["cutoff_s"] == cutoff
+
+
+@pytest.mark.parametrize("experiment", sorted(n for n, rec in _EXPERIMENTS.items() if rec.fock))
+def test_fock_cutoff_is_taken_once_in_validation(tmp_path, monkeypatch, experiment):
+    calls = []
+    real = phasediff.distributions.fock_cutoff
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("phasediff")]:
+        if getattr(module, "fock_cutoff", None) is real:
+            monkeypatch.setattr(module, "fock_cutoff", counting)
+    cfg = validate_config({"experiment": experiment, "master_seed": 1, "out": str(tmp_path),
+                           **SMALL[experiment]})
+    assert len(calls) == 1
+    run_experiment(cfg)
+    assert len(calls) == 1

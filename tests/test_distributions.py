@@ -13,6 +13,7 @@ from phasediff import (
     CoherentInput,
     FockState,
     GuardTripError,
+    PhaseDensity,
     eta,
     evolve_density_series,
     fock_cutoff,
@@ -498,6 +499,17 @@ class TestFockState:
                                               state.band[k, : d - k] * np.exp(1j * k * inp.theta))
             assert not np.any(np.tril(rho, -kmax - 1))
             np.testing.assert_array_equal(rho, rho.conj().T)
+
+
+def test_public_classes_refuse_non_finite_values():
+    # NaN passes every comparison the range checks make, so each is refused by name
+    grid = 2 * np.pi * np.arange(8) / 8
+    for build, field in [(lambda: PhaseDensity(grid, np.full(8, np.nan)), "density"),
+                         (lambda: CoherentInput(math.inf), "amplitude_sq"),
+                         (lambda: CoherentInput(2.0, math.nan), "theta"),
+                         (lambda: AmplifierParams(math.inf), "kappa_up")]:
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            build()
 
 
 class TestPhaseDensities:

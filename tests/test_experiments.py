@@ -12,7 +12,7 @@ import pytest
 from phasediff import GuardTripError, TrajectoryEnsemble, list_experiments, run_experiment
 from phasediff import validate_config
 from phasediff import _fork, experiments, sde
-from phasediff.config import _SDE_ARRAYS
+from phasediff.config import _EXPERIMENTS
 from phasediff.experiments import _check_aborts, _csv_body
 from phasediff.sde import _integrate_bytes
 
@@ -196,7 +196,7 @@ def test_sde_experiments_keep_only_what_they_write(tmp_path, monkeypatch, experi
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("experiment", ["number-fan", "variance-compare", "inverse-expansion"])
+@pytest.mark.parametrize("experiment", sorted(n for n, rec in _EXPERIMENTS.items() if rec.sde))
 def test_sde_runs_make_what_validation_counts(tmp_path, monkeypatch, experiment, workers):
     # without os.fork the ranges run one after another in this process, so
     # every mapping is seen; forked, they are held at once, as counted
@@ -216,4 +216,4 @@ def test_sde_runs_make_what_validation_counts(tmp_path, monkeypatch, experiment,
     run_experiment(cfg)
     c = cfg.sde  # the step mask and the recorded steps and times come from the heap
     heap = c.n_steps + 1 + 16 * c.n_recorded
-    assert heap + sum(mapped) == _integrate_bytes(c, *_SDE_ARRAYS[experiment])
+    assert heap + sum(mapped) == _integrate_bytes(c, *_EXPERIMENTS[experiment].sde)

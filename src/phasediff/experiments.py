@@ -6,10 +6,12 @@ Outputs are written under the config's out directory: one or more
 CLI reruns the experiment bit-identically; only the sidecar's written_at,
 wall_time_s and config.out fields vary between reruns).  Numbers are written
 with 17 significant digits and NaN/Inf are refused, so CSV bodies round-trip
-exactly.  A large table (at least _CSV_CELLS cells per worker) is formatted
-by forked workers, one contiguous range of rows each
-(phasediff._fork.run_ranges, which carries each range's text back), into the
-same text the calling process would write.
+exactly.  A runner returns each CSV as its header line and its float table;
+run_experiment writes them.  The rows are formatted as ASCII bytes into one
+shared anonymous mapping, by forked workers when the table is large (at least
+_CSV_CELLS cells per worker, phasediff._fork.run_ranges), one contiguous
+range of rows each; a worker sends back only its byte count, and the calling
+process copies the slices to the file, so it never holds the CSV's text.
 
 The Monte Carlo columns (sample_mean, sample_variance, mc_mean and their
 standard errors) are sample statistics conditional on no floor contact: the
@@ -26,13 +28,16 @@ from __future__ import annotations
 
 import functools
 import json
+import mmap
 import time
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import __version__ as _pkg_version
-from ._fork import run_ranges
+from ._fork import run_ranges, split_ranges
 from .config import _EXPERIMENTS, ConfigError, ExperimentConfig
 from .distributions import (
     PhaseDensity,
@@ -53,19 +58,43 @@ __all__ = ["ResultBundle", "run_experiment"]
 ABORT_FRACTION_LIMIT = 0.10
 
 _CSV_CELLS = 1 << 16  # fewest cells a CSV worker formats
+_CSV_BLOCK = 1 << 12  # most cells formatted into one bytes object
+_CELL_BYTES = 25  # longest %.17g of a float64 (24 characters) and its separator
+
+
+class _WrittenCsv(Mapping):
+    """Read-only name -> text of the CSVs a run wrote, read from the file on
+    each access."""
+
+    def __init__(self, out_dir: Path, names):
+        self._out_dir, self._names = out_dir, tuple(names)
+
+    def __getitem__(self, name: str) -> str:
+        if name not in self._names:
+            raise KeyError(name)
+        return (self._out_dir / name).read_text()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
 
 
 @dataclass(frozen=True, eq=False)
 class ResultBundle:
-    """CSV payloads (name -> text body) and the metadata sidecar for one run."""
+    """One run's CSVs (name -> text, read from the written file on access, in
+    the order the run wrote them) and its metadata sidecar."""
 
     experiment: str
-    csv_files: dict[str, str]
+    csv_files: Mapping[str, str]
     metadata: dict = field(repr=False)
     written: list[str] = field(default_factory=list)
 
 
-def _csv_body(header: list[str], columns: list[np.ndarray]) -> str:
+def _csv_body(header: list[str], columns: list[np.ndarray]) -> tuple[str, np.ndarray]:
+    """The header line and the (rows, columns) table of one CSV; raise before
+    anything is written when the columns are ragged or a value is not finite."""
     if len(header) != len(columns):
         raise ValueError("header/column count mismatch")
     n = len(columns[0])
@@ -78,17 +107,41 @@ def _csv_body(header: list[str], columns: list[np.ndarray]) -> str:
         raise GuardTripError(
             f"non-finite value {float(table[i, j])!r} in column {header[j]!r}, row {i}, "
             "reached the CSV writer")
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    # each worker's range holds at least _CSV_CELLS cells: ceil(_CSV_CELLS / columns) rows
-    parts = run_ranges(functools.partial(_format_rows, table, row), n,
-                       -(-_CSV_CELLS // len(columns)), what="rows")
-    del table  # the numbers need not outlive their text: 5 MB of number-fan's peak
-    return "".join([",".join(header) + "\n", *parts])
+    return ",".join(header) + "\n", table
 
 
-def _format_rows(table: np.ndarray, row: str, lo: int, hi: int, report) -> str:
-    """Rows lo..hi-1 of table in the row template."""
-    return "".join([row % tuple(r) for r in table[lo:hi].tolist()])
+def _write_csv(path: Path, head: str, table: np.ndarray) -> None:
+    """Write head, then table's rows with every value as %.17g, to path.
+
+    Rows lo..hi-1 are formatted into bytes lo * slot to hi * slot of one
+    shared anonymous mapping, where slot = columns * _CELL_BYTES holds the
+    longest row, so ranges never overlap; the file is opened only once every
+    range is done, so a failed range leaves it as it was.
+    """
+    rows, cols = table.shape
+    row = b",".join([b"%.17g"] * cols) + b"\n"
+    slot = cols * _CELL_BYTES
+    smallest = -(-_CSV_CELLS // cols)  # each worker's range holds at least _CSV_CELLS cells
+    with mmap.mmap(-1, max(rows * slot, 1)) as buf:  # mmap refuses a length of 0
+        sizes = run_ranges(functools.partial(_format_rows, table, row, buf, slot), rows,
+                           smallest, what="rows")
+        with open(path, "wb") as f, memoryview(buf) as view:
+            f.write(head.encode())
+            for (lo, _), size in zip(split_ranges(rows, smallest), sizes):
+                f.write(view[lo * slot:lo * slot + size])
+
+
+def _format_rows(table: np.ndarray, row: bytes, buf, slot: int, lo: int, hi: int,
+                 report) -> int:
+    """Write rows lo..hi-1 of table in the row template into buf from byte
+    lo * slot on, a block of rows at a time; return the byte count."""
+    step = max(1, _CSV_BLOCK // table.shape[1])
+    at = start = lo * slot
+    for b in range(lo, hi, step):
+        data = b"".join([row % tuple(r) for r in table[b:min(b + step, hi)].tolist()])
+        buf[at:at + len(data)] = data
+        at += len(data)
+    return at - start
 
 
 def _check_aborts(ensemble, metadata):
@@ -161,7 +214,7 @@ def _run_snr_nonideal(cfg: ExperimentConfig):
     for p in pairs:
         header.append(f"inverse_snr_ku{p.kappa_up:g}_kd{p.kappa_down:g}")
         cols.append(inverse_snr(p, cfg.input, t))
-    time_csv = _csv_body(header, cols)
+    time_table = _csv_body(header, cols)
 
     a_grid = np.linspace(0.0, cfg.resolved["input_grid_max"], cfg.resolved["input_grid_points"])
     header2, cols2 = ["amplitude_sq"], [a_grid]
@@ -171,7 +224,7 @@ def _run_snr_nonideal(cfg: ExperimentConfig):
     prov = {"t": "grid", "amplitude_sq": "grid", "inverse_snr_*": "analytic",
             "high_gain_inverse_snr_*": "analytic"}
     return {
-        "snr-nonideal.time.csv": time_csv,
+        "snr-nonideal.time.csv": time_table,
         "snr-nonideal.highgain.csv": _csv_body(header2, cols2),
     }, prov, {}
 
@@ -216,9 +269,9 @@ def _run_variance_from_dist(cfg: ExperimentConfig):
     ])
     prov = {"t": "grid", "variance_p_function": "analytic",
             "variance_pegg_barnett": "master-equation"}
-    body = _csv_body(["t", "variance_p_function", "variance_pegg_barnett"],
-                     [np.array(cfg.times), var_p, var_pb])
-    return {"variance-from-dist.csv": body}, prov, {"cutoff_s": cfg.cutoff_s}
+    table = _csv_body(["t", "variance_p_function", "variance_pegg_barnett"],
+                      [np.array(cfg.times), var_p, var_pb])
+    return {"variance-from-dist.csv": table}, prov, {"cutoff_s": cfg.cutoff_s}
 
 
 _RUNNERS = {
@@ -248,34 +301,28 @@ def run_experiment(cfg: ExperimentConfig) -> ResultBundle:
     except OSError as exc:
         raise _out_error(cfg, exc) from exc
     t0 = time.perf_counter()
-    files, provenance, meta_extra = _RUNNERS[cfg.experiment](cfg)
-    wall = time.perf_counter() - t0
-
-    metadata = {
-        "experiment": cfg.experiment,
-        "config": cfg.resolved,
-        "columns": provenance,
-        "csv_files": sorted(files),
-        "versions": {
-            "phasediff": _pkg_version,
-            "numpy": np.__version__,
-        },
-        "wall_time_s": wall,
-        "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-    metadata.update(meta_extra)
-
-    written = []
+    tables, provenance, meta_extra = _RUNNERS[cfg.experiment](cfg)
+    paths = [cfg.out_dir / name for name in tables]
+    meta_path = cfg.out_dir / f"{cfg.experiment}.meta.json"
     try:
-        for name, body in files.items():
-            path = cfg.out_dir / name
-            path.write_text(body)
-            written.append(str(path))
-        meta_path = cfg.out_dir / f"{cfg.experiment}.meta.json"
+        for path, (head, table) in zip(paths, tables.values()):
+            _write_csv(path, head, table)
+        metadata = {
+            "experiment": cfg.experiment,
+            "config": cfg.resolved,
+            "columns": provenance,
+            "csv_files": sorted(tables),
+            "versions": {
+                "phasediff": _pkg_version,
+                "numpy": np.__version__,
+            },
+            "wall_time_s": time.perf_counter() - t0,  # the run and its CSVs
+            "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        }
+        metadata.update(meta_extra)
         meta_path.write_text(
             json.dumps(metadata, indent=2, sort_keys=True, allow_nan=False) + "\n")
     except OSError as exc:
         raise _out_error(cfg, exc) from exc
-    written.append(str(meta_path))
-    return ResultBundle(experiment=cfg.experiment, csv_files=files,
-                        metadata=metadata, written=written)
+    return ResultBundle(experiment=cfg.experiment, csv_files=_WrittenCsv(cfg.out_dir, tables),
+                        metadata=metadata, written=[*map(str, paths), str(meta_path)])

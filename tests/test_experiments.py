@@ -2,9 +2,11 @@
 non-finite values, its bytes against a per-cell writer), and every registered
 experiment at its default config."""
 
+import hashlib
 import os
 import signal
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from phasediff import GuardTripError, TrajectoryEnsemble, list_experiments, run_
 from phasediff import validate_config
 from phasediff import _fork, experiments, sde
 from phasediff.config import _EXPERIMENTS
-from phasediff.experiments import _check_aborts, _csv_body
+from phasediff.experiments import _check_aborts, _csv_body, _write_csv
 from phasediff.sde import _integrate_bytes
 
 
@@ -48,6 +50,12 @@ def csv_body_by_cell(header, columns):
     return "\n".join(lines) + "\n"
 
 
+def written_csv(path, header, columns):
+    """The bytes the CSV writer puts in path for header and columns."""
+    _write_csv(path, *_csv_body(header, columns))
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_csv_writer_refuses_non_finite(value):
     for j in range(3):
@@ -65,20 +73,22 @@ def special_columns():
             np.arange(len(special), dtype=float), special[::-1].copy()]
 
 
-def test_csv_writer_matches_per_cell_formatting():
+def test_csv_writer_matches_per_cell_formatting(tmp_path):
     columns = special_columns()
     header = ["a", "b", "c", "d"]
-    body = _csv_body(header, columns)
-    assert body == csv_body_by_cell(header, columns)
-    assert body.splitlines()[1].split(",")[0] == "-0"
+    body = written_csv(tmp_path / "t.csv", header, columns)
+    assert body == csv_body_by_cell(header, columns).encode()
+    assert body.splitlines()[1].split(b",")[0] == b"-0"
 
 
 class TestForkedCsvWriter:
-    """Large tables are formatted by forked workers, one range of rows each."""
+    """Large tables are formatted by forked workers, one range of rows each,
+    into one shared mapping that the calling process copies to the file."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """Sets the worker count, makes every table large, and counts the forks."""
+        """Sets the worker count and the fewest cells per worker (by default
+        every table is large), and counts the forks."""
         pids = []
         real_fork = os.fork
 
@@ -88,9 +98,9 @@ class TestForkedCsvWriter:
                 pids.append(pid)
             return pid
 
-        def set_workers(n):
+        def set_workers(n, cells=1):
             monkeypatch.setattr(_fork, "_WORKERS", n)
-            monkeypatch.setattr(experiments, "_CSV_CELLS", 1)
+            monkeypatch.setattr(experiments, "_CSV_CELLS", cells)
             monkeypatch.setattr(os, "fork", counting_fork)
             return pids
         return set_workers
@@ -100,34 +110,51 @@ class TestForkedCsvWriter:
         """A row formatter that calls action() for every range but the first."""
         real = experiments._format_rows
 
-        def format_rows(table, row, lo, hi, report):
+        def format_rows(table, row, buf, slot, lo, hi, report):
             if lo:
                 action()
-            return real(table, row, lo, hi, report)
+            return real(table, row, buf, slot, lo, hi, report)
         return format_rows
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("rows", [0, 1, 2, 7, 15])
-    def test_matches_per_cell_formatting(self, forks, workers, rows):
+    def test_matches_per_cell_formatting(self, tmp_path, forks, workers, rows):
         pids = forks(workers)
         columns = [c[:rows] for c in special_columns()]
         header = ["a", "b", "c", "d"]
-        assert _csv_body(header, columns) == csv_body_by_cell(header, columns)
+        assert written_csv(tmp_path / "t.csv", header, columns) == \
+            csv_body_by_cell(header, columns).encode()
         assert len(pids) == (min(workers, rows) if min(workers, rows) > 1 else 0)
         assert_no_children()
 
-    def test_child_error_reaches_caller(self, forks, monkeypatch):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_longest_cells_fill_their_slots(self, tmp_path, forks, workers):
+        # every cell formats to the longest %.17g of a float64, 24 characters,
+        # so each range fills its slot of 25 bytes per cell to the last byte
+        forks(workers)
+        longest = np.resize([-2.2250738585072014e-308, -1.7976931348623157e+308], 15)
+        columns = [longest, longest[::-1].copy(), longest, longest]
+        assert {len(format(v, ".17g")) for v in longest} == {24}
+        header = ["a", "b", "c", "d"]
+        assert written_csv(tmp_path / "t.csv", header, columns) == \
+            csv_body_by_cell(header, columns).encode()
+        assert_no_children()
+
+    def test_child_error_reaches_caller(self, tmp_path, forks, monkeypatch):
         forks(3)
+        path = tmp_path / "t.csv"
+        path.write_text("old contents\n")
 
         def fail():
             raise ValueError("row formatting failed")
 
         monkeypatch.setattr(experiments, "_format_rows", self.failing_rows(fail))
         with pytest.raises(ValueError, match=r"^row formatting failed$"):
-            _csv_body(["a", "b", "c", "d"], special_columns())
+            written_csv(path, ["a", "b", "c", "d"], special_columns())
+        assert path.read_text() == "old contents\n"  # a failed range writes nothing
         assert_no_children()
 
-    def test_killed_child_makes_the_call_raise(self, forks, monkeypatch):
+    def test_killed_child_makes_the_call_raise(self, tmp_path, forks, monkeypatch):
         forks(2)
         parent = os.getpid()
 
@@ -138,24 +165,43 @@ class TestForkedCsvWriter:
 
         monkeypatch.setattr(experiments, "_format_rows", self.failing_rows(die))
         with pytest.raises(RuntimeError, match=rf"rows 7-14 died \(killed by signal {int(signal.SIGKILL)}\)"):
-            _csv_body(["a", "b", "c", "d"], special_columns())
+            written_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], special_columns())
         assert_no_children()
 
-    def test_failure_kills_the_other_children(self, forks, monkeypatch):
+    def test_failure_kills_the_other_children(self, tmp_path, forks, monkeypatch):
         forks(2)
         real = experiments._format_rows
 
-        def format_rows(table, row, lo, hi, report):
+        def format_rows(table, row, buf, slot, lo, hi, report):
             if lo:
                 raise ValueError("row formatting failed")
             time.sleep(20)  # the first range would take 20 s
-            return real(table, row, lo, hi, report)
+            return real(table, row, buf, slot, lo, hi, report)
 
         monkeypatch.setattr(experiments, "_format_rows", format_rows)
         t0 = time.monotonic()
         with pytest.raises(ValueError, match=r"^row formatting failed$"):
-            _csv_body(["a", "b", "c", "d"], special_columns())
+            written_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], special_columns())
         assert time.monotonic() - t0 < 10
+        assert_no_children()
+
+    def test_calling_process_holds_no_csv_text(self, tmp_path, forks):
+        # 200 rows x 700 columns: two workers of 70,000 cells at the default
+        # _CSV_CELLS, so the table is formatted in two children
+        pids = forks(2, cells=experiments._CSV_CELLS)
+        rng = np.random.default_rng(3)
+        head, table = _csv_body([f"c{j}" for j in range(700)],
+                                list(rng.standard_normal((700, 200))))
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _write_csv(path, head, table)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(pids) == 2
+        assert peak < path.stat().st_size / 4
         assert_no_children()
 
 
@@ -171,6 +217,30 @@ def test_default_config_runs(tmp_path, experiment):
     assert bundle.csv_files
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [*bundle.csv_files, f"{experiment}.meta.json"])
+
+
+def monte_carlo_digest(text):
+    """SHA-256 of every column of a CSV's text but analytic_mean, whose last
+    bits depend on the host's SIMD exp."""
+    lines = text.splitlines()
+    keep = [j for j, h in enumerate(lines[0].split(",")) if h != "analytic_mean"]
+    digest = hashlib.sha256()
+    for line in lines:
+        cells = line.split(",")
+        digest.update((",".join(cells[j] for j in keep) + "\n").encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_number_fan_columns_are_pinned(tmp_path, monkeypatch, workers):
+    # t, sample_mean, sample_se and every traj_* column, exactly: the stream
+    # contract fixes these bits whatever the worker count or CSV range split
+    monkeypatch.setattr(_fork, "_WORKERS", workers)
+    monkeypatch.setattr(experiments, "_CSV_CELLS", 1)
+    bundle = run_experiment(validate_config({"experiment": "number-fan", "master_seed": 1,
+                                             "n_traj": 64, "out": str(tmp_path)}))
+    assert monte_carlo_digest(bundle.csv_files["number-fan.csv"]) == \
+        "c5c7618a227f1fe1419c90a67a2a16a93d618b84976c51fecee3c7768d22d4a6"
 
 
 @pytest.mark.parametrize("experiment, simulator, stored, reduced", [

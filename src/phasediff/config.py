@@ -8,10 +8,10 @@ schema is rejected, so an older sidecar that sets a removed field exits with a
 validation error: chunk_size, cutoff_s, tail_bound, the cap on guard trips
 per trajectory (any floor contact aborts one), or theta (the amplifier is
 phase-insensitive, so the input phase only rotates the output and no reported
-variance depends on it; every run's input is at theta = pi).  The resolved
-document (defaults merged with the user's keys) is echoed into the run
-metadata so the metadata alone pins the run.  Validation is aggregated: all
-problems are reported at once, each naming its field.
+variance depends on it; every run's input is at params.INPUT_PHASE = pi).
+The resolved document (defaults merged with the user's keys) is echoed into
+the run metadata so the metadata alone pins the run.  Validation is
+aggregated: all problems are reported at once, each naming its field.
 
 The Fock cutoff is no field: validation resolves a Fock run's times (its
 record's rule) and distributions.fock_cutoff, the one cutoff rule, at the
@@ -64,11 +64,6 @@ _SDE = {
     "record_every": 10,
 }
 _RUN = {"master_seed": None, "out": "results"}  # master_seed is required
-
-# theta of every CoherentInput a run builds: the input phase only rotates the
-# output, so no reported variance depends on it, and every recorded output was
-# made at pi
-_INPUT_PHASE = math.pi
 
 
 class _Experiment(NamedTuple):
@@ -265,7 +260,7 @@ def validate_config(raw) -> ExperimentConfig:
                 errors.append(("kappa_up/kappa_down", str(exc)))
         if "amplitude_sq" in resolved:
             try:
-                input_ = CoherentInput(resolved["amplitude_sq"], _INPUT_PHASE)
+                input_ = CoherentInput(resolved["amplitude_sq"])
             except ValueError as exc:
                 errors.append(("amplitude_sq", str(exc)))
         if "dt" in resolved:

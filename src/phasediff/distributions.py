@@ -6,7 +6,7 @@ Two routes to the phase density of the amplified field:
   (Glauber-Sudarshan) picture, a function of the signal-to-noise ratio
   eta = |beta|^2/nbar alone (so it holds with loss as well as without),
   evaluated in an algebraically expanded form that is free of the
-  sec(phi - theta) singularity of the textbook expression.
+  sec(phi - INPUT_PHASE) singularity of the textbook expression.
 * evolve_density_series + pegg_barnett_distribution - the exact output state
   in a truncated Fock basis, projected onto the discrete phase states
   |phi_m> = (s+1)^(-1/2) sum_n exp(i n phi_m) |n>.
@@ -33,14 +33,14 @@ missing from the truncated band.  It is added to the top level's population
 for the top-population guard and then dropped by renormalizing the truncated
 band to unit trace.
 
-The input phase enters the band only as a phase: beta = sqrt(G_t) |alpha|
-e^(i theta), so rho[n+k, n] = |rho[n+k, n]| e^(ik theta).  FockState stores
-the real, nonnegative theta = 0 band and theta, not the (s+1)^2 matrix.  It
-is Hermitian by construction, and the Pegg-Barnett density is one FFT of its
-offset sums, each turned by e^(ik theta), on the grid 2pi m/(s+1) over
-[0, 2pi).  That window needs no setting: the output density is the
-input's rotated by theta, one period holds all of it, and
-distribution_variance recentres the window on its peak.
+The input phase, params.INPUT_PHASE = pi, enters the band only as a phase:
+beta = sqrt(G_t) |alpha| e^(i pi), so rho[n+k, n] = |rho[n+k, n]| e^(ik pi).
+FockState stores the real, nonnegative band of moduli, not the (s+1)^2
+matrix.  It is Hermitian by construction, and the Pegg-Barnett density is one
+FFT of its offset sums, each turned by e^(ik pi), on the grid 2pi m/(s+1)
+over [0, 2pi).  That window needs no setting: the output density is
+single-peaked at pi, one period holds all of it, and distribution_variance
+recentres the window on its peak.
 
 The bands of all requested times are one float64 (times, kmax + 1, d) array,
 and the recurrence's ratios M_n / M_(n-1) live in it too: time j's ratios
@@ -74,7 +74,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GuardTripError
 from .moments import gain
-from .params import AmplifierParams, CoherentInput
+from .params import INPUT_PHASE, AmplifierParams, CoherentInput
 
 __all__ = [
     "eta",
@@ -110,17 +110,17 @@ def eta(params: AmplifierParams, amplitude_sq: float, t):
 def p_function_phase_density(params: AmplifierParams, input: CoherentInput, t, phi):
     """High-gain phase density of the phase-space picture, singularity-free.
 
-    Expanding the textbook expression cancels sec(phi - theta) against its
-    cos prefactor:
+    Expanding the textbook expression cancels sec(phi - INPUT_PHASE) against
+    its cos prefactor:
 
         p(phi) = e^-eta / 2pi
                + cos(d)/2pi * sqrt(pi eta) e^(-eta sin^2 d) (1 + erf(sqrt(eta) cos d)),
 
-    d = phi - theta.  Single peak at phi = theta, symmetric about it, uniform
-    1/2pi in the eta -> 0 limit.
+    d = phi - INPUT_PHASE.  Single peak at phi = pi, symmetric about it,
+    uniform 1/2pi in the eta -> 0 limit.
     """
     e = eta(params, input.amplitude_sq, t)
-    d = np.asarray(phi, dtype=float) - input.theta
+    d = np.asarray(phi, dtype=float) - INPUT_PHASE
     c = np.cos(d)
     return np.exp(-e) / (2 * np.pi) + (
         c / (2 * np.pi)
@@ -137,15 +137,14 @@ def _erf(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FockState:
-    """Density matrix truncated at cutoff_s, stored as its real offset band and a phase.
+    """Density matrix truncated at cutoff_s, stored as its real offset band.
 
-    rho[n+k, n] = band[k, n] e^(ik theta) for k = 0..kmax <= cutoff_s, with
-    band real and zero past the cutoff; the upper triangle is the conjugate,
-    so the state is Hermitian by construction.
+    rho[n+k, n] = band[k, n] e^(ik INPUT_PHASE) for k = 0..kmax <= cutoff_s,
+    with band real, finite and zero past the cutoff; the upper triangle is the
+    conjugate, so the state is Hermitian by construction.
     """
 
     band: np.ndarray
-    theta: float
 
     def __post_init__(self):
         shape = self.band.shape
@@ -154,8 +153,8 @@ class FockState:
                              f"got {shape}")
         if self.band.dtype.kind != "f":
             raise ValueError(f"band must be real floating point, got {self.band.dtype}")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
+        if not np.isfinite(self.band).all():
+            raise ValueError("band must be finite")
         past = np.arange(shape[0])[:, None] + np.arange(shape[1]) >= shape[1]
         if np.any(self.band[past] != 0):
             raise ValueError("band entries past the cutoff must be zero")
@@ -175,7 +174,7 @@ class FockState:
         n = np.arange(d)
         rho = np.diag(self.band[0].astype(complex))
         for k in range(1, self.band.shape[0]):
-            off = self.band[k, : d - k] * np.exp(1j * k * self.theta)
+            off = self.band[k, : d - k] * np.exp(1j * k * INPUT_PHASE)
             rho[n[k:], n[: d - k]] = off
             rho[n[: d - k], n[k:]] = off.conj()
         return rho
@@ -321,7 +320,7 @@ def _fock_bytes(input: CoherentInput, cutoff_s: int, n_times: int, limit: float)
 
 def _output_bands(params: AmplifierParams, input: CoherentInput, log_fact: np.ndarray, d: int,
                   kmax: int, times: np.ndarray) -> np.ndarray:
-    """Untruncated theta = 0 output bands B[i, k, n] = |rho[n+k, n](times[i])|,
+    """Untruncated output bands of moduli B[i, k, n] = |rho[n+k, n](times[i])|,
     zero past the cutoff.
 
     log_fact[j] = log j! for j <= d - 1 + kmax.  The bands are one float64
@@ -412,11 +411,11 @@ def evolve_density_series(
     The population at or past the top level (cutoff_s) must stay below
     TOP_POPULATION_LIMIT and the band edge below 1e-10, else GuardTripError.
     The states' bands are views of one float64 (times, kmax + 1, cutoff_s + 1)
-    array, and every state carries the input's theta.
+    array.
     """
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("times must be nonnegative")
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError(f"times must be finite and nonnegative, got {times.tolist()}")
     d = int(cutoff_s) + 1
     kmax = _band_kmax(input, d)
     log_fact = _log_factorials(d + kmax)  # up to n + k = d - 1 + kmax
@@ -425,7 +424,7 @@ def evolve_density_series(
         trace = band[0].sum()
         _check_band(band, d, t, 1.0 - trace)
         band /= trace
-        out.append(FockState(band, input.theta))
+        out.append(FockState(band))
     return out
 
 
@@ -434,12 +433,12 @@ def pegg_barnett_distribution(state: FockState) -> PhaseDensity:
 
     p(phi_m) = [(s+1)/2pi] <phi_m|rho|phi_m> on phi_m = 2pi m/(s+1), a grid
     over [0, 2pi); in Fourier form (1/2pi)[2 Re sum_k c_k e^(-ik phi_m) - c_0]
-    with c_k = e^(ik theta) sum_n band[k, n] the offset sums of rho: the
-    kmax + 1 real band sums turned by the state's phase, then one FFT of c_k
+    with c_k = e^(ik INPUT_PHASE) sum_n band[k, n] the offset sums of rho:
+    the kmax + 1 real band sums turned by the input phase, then one FFT of c_k
     zero-padded to s+1 points.  The grid sum integrates to trace(rho) exactly.
     """
     d = state.cutoff_s + 1
-    c = state.band.sum(axis=1) * np.exp(1j * np.arange(len(state.band)) * state.theta)
+    c = state.band.sum(axis=1) * np.exp(1j * np.arange(len(state.band)) * INPUT_PHASE)
     dens = (2 * np.fft.fft(c, n=d).real - c[0].real) / (2 * np.pi)
     return PhaseDensity(phi_grid=2 * np.pi * np.arange(d) / d, density=np.maximum(dens, 0.0))
 

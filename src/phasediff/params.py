@@ -5,6 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# the phase of every coherent input: the amplifier is phase-insensitive, so the
+# input phase only rotates the output, and every output is made at pi
+INPUT_PHASE = math.pi
+
 
 @dataclass(frozen=True)
 class AmplifierParams:
@@ -41,19 +45,15 @@ class AmplifierParams:
 
 @dataclass(frozen=True)
 class CoherentInput:
-    """Coherent-state input |alpha|, a deterministic phase-space point.
+    """Coherent-state input alpha = |alpha| e^(i INPUT_PHASE), a deterministic
+    phase-space point.
 
-    amplitude_sq is |alpha|^2 = N(0); theta is the initial phase Phi(0).
+    amplitude_sq is |alpha|^2 = N(0); the initial phase Phi(0) is INPUT_PHASE.
     In this picture the input carries no initial number or phase spread.
-    Runs built from a config fix theta = pi: the amplifier is
-    phase-insensitive, so theta only rotates the output.
     """
 
     amplitude_sq: float
-    theta: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.amplitude_sq < math.inf:
             raise ValueError(f"amplitude_sq must be finite and > 0, got {self.amplitude_sq}")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")

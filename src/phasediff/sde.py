@@ -69,7 +69,7 @@ import numpy as np
 
 from ._fork import run_ranges, split_ranges
 from .errors import GuardTripError
-from .params import AmplifierParams, CoherentInput
+from .params import INPUT_PHASE, AmplifierParams, CoherentInput
 
 __all__ = [
     "SdeConfig",
@@ -429,7 +429,7 @@ def _polar_stepper(params, input, config, blocks, rec_mask, chunk_paths, guard_c
     dt, floor = config.dt, config.floor_epsilon
     m = len(guard_counts)
     n_val = np.full(m, float(input.amplitude_sq))
-    phi_val = np.full(m, float(input.theta))
+    phi_val = np.full(m, INPUT_PHASE)
     n_store, phi_store = chunk_paths
     rec = 0
     if n_store is not None:
@@ -489,7 +489,8 @@ def _inverse_stepper(params, input, config, blocks, rec_mask, chunk_paths, guard
 
 def simulate_polar(params: AmplifierParams, input: CoherentInput, config: SdeConfig, *,
                    store=("n", "phi"), reduce=("n", "phi")) -> TrajectoryEnsemble:
-    """Integrate the coupled number/phase pair from the deterministic start.
+    """Integrate the coupled number/phase pair from the deterministic start
+    (N, Phi) = (|alpha|^2, INPUT_PHASE) = (amplitude_sq, pi).
 
     dPhi = sqrt(kappa_up / 2N) dV_phi and
     dN = (kappa_up + kappa_minus N) dt + sqrt(2 kappa_up N) dV_N

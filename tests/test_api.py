@@ -51,10 +51,12 @@ def test_sde_config_fields_are_pinned():
 
 
 def test_fock_surface_is_pinned():
-    # the cutoff rule has one tail and the phase window starts at 0: neither is a parameter
+    # the cutoff rule has one tail, the phase window starts at 0 and the input phase is
+    # params.INPUT_PHASE: none is a parameter
     def names(fn):
         return list(inspect.signature(fn).parameters)
 
     assert names(phasediff.pegg_barnett_distribution) == ["state"]
     assert names(phasediff.fock_cutoff) == ["params", "input", "t"]
-    assert [f.name for f in dataclasses.fields(phasediff.FockState)] == ["band", "theta"]
+    assert [f.name for f in dataclasses.fields(phasediff.FockState)] == ["band"]
+    assert [f.name for f in dataclasses.fields(phasediff.CoherentInput)] == ["amplitude_sq"]

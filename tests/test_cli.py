@@ -178,7 +178,7 @@ def test_fock_arrays_just_past_memory_exit_2(tmp_path, capsys, monkeypatch, comm
                                              n_times):
     # the default run's exact count (4.0 is both defaults' last time): a byte
     # less memory is refused, that much validates
-    inp = phasediff.CoherentInput(2.25, math.pi)
+    inp = phasediff.CoherentInput(2.25)
     cutoff = phasediff.fock_cutoff(phasediff.AmplifierParams(1.0), inp, 4.0)
     need = _fock_bytes(inp, cutoff, n_times, math.inf)
     monkeypatch.setattr(phasediff.config, "_physical_memory", lambda: need - 1)

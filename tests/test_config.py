@@ -1,7 +1,6 @@
 """Per-experiment config schemas, aggregated errors and the sidecar round trip."""
 
 import json
-import math
 import sys
 
 import pytest
@@ -53,13 +52,6 @@ def test_schemas_cover_every_experiment():
 def test_every_check_belongs_to_a_field():
     # a field removed from every schema leaves no predicate behind
     assert set(_CHECKS) == set().union(*SCHEMAS.values())
-
-
-def test_every_input_is_at_theta_pi():
-    # the amplifier is phase-insensitive: the input phase is no field
-    for experiment in SCHEMAS:
-        cfg = validate_config({"experiment": experiment, "master_seed": 1})
-        assert cfg.input is None or cfg.input.theta == math.pi
 
 
 def test_analytic_objects_built_only_from_their_fields():

@@ -58,7 +58,7 @@ def rk4_master_equation(params, input, cutoff_s, times):
     d = cutoff_s + 1
     n = np.arange(d)
     c = np.exp(-input.amplitude_sq / 2 + n * np.log(input.amplitude_sq) / 2 - gammaln(n + 1) / 2)
-    c = c * np.exp(1j * n * input.theta)
+    c = c * np.exp(1j * n * np.pi)
     c /= np.linalg.norm(c)
     kmax = d - 1
     for k in range(d):
@@ -108,7 +108,7 @@ def coherent_state(input, cutoff_s):
     The amplitudes come from the recurrence c_n = c_(n-1) alpha / sqrt(n),
     not from the log-gamma form the package uses.
     """
-    alpha = np.sqrt(input.amplitude_sq) * np.exp(1j * input.theta)
+    alpha = np.sqrt(input.amplitude_sq) * np.exp(1j * np.pi)
     c = np.empty(cutoff_s + 1, dtype=complex)
     c[0] = np.exp(-input.amplitude_sq / 2)
     for n in range(1, cutoff_s + 1):
@@ -162,9 +162,9 @@ class TestClosedFormAgainstRk4:
     @pytest.mark.parametrize(
         "params, input, times",
         [
-            (IDEAL_1, CoherentInput(2.25, np.pi), [0.3, 0.8]),
-            (LOSSY, CoherentInput(3.0, 0.7), [0.2, 0.7]),
-            (AmplifierParams(2.0, 0.0), CoherentInput(6.0, -1.2), [0.1, 0.25]),
+            (IDEAL_1, CoherentInput(2.25), [0.3, 0.8]),
+            (LOSSY, CoherentInput(3.0), [0.2, 0.7]),
+            (AmplifierParams(2.0, 0.0), CoherentInput(6.0), [0.1, 0.25]),
         ],
     )
     def test_density_and_pegg_barnett_agree(self, params, input, times):
@@ -172,15 +172,14 @@ class TestClosedFormAgainstRk4:
         states = evolve_density_series(params, input, cutoff, times)
         for state, band in zip(states, rk4_master_equation(params, input, cutoff, times)):
             assert state.band.shape == band.shape
-            assert state.theta == input.theta
-            phase = np.exp(1j * np.arange(len(band)) * input.theta)[:, None]
+            phase = np.exp(1j * np.arange(len(band)) * np.pi)[:, None]
             assert np.abs(state.band * phase - band).max() < 1e-10
             pb = pegg_barnett_distribution(state).density
             pb_oracle = pegg_barnett_by_offsets(dense_of(band))
             assert np.abs(pb - pb_oracle).max() < 1e-10
 
     def test_times_are_independent(self):
-        inp = CoherentInput(2.25, 0.4)
+        inp = CoherentInput(2.25)
         series = evolve_density_series(LOSSY, inp, 80, [0.6, 0.1, 0.3])
         for t, state in zip([0.6, 0.1, 0.3], series):
             np.testing.assert_array_equal(state.band, evolve(LOSSY, inp, 80, t).band)
@@ -191,7 +190,7 @@ class TestPhotonStatistics:
         rng = np.random.default_rng(23)
         for _ in range(8):
             params = random_params(rng)
-            inp = CoherentInput(rng.uniform(0.5, 8.0), rng.uniform(-np.pi, np.pi))
+            inp = CoherentInput(rng.uniform(0.5, 8.0))
             t = rng.uniform(0.05, 1.5)
             state = evolve(params, inp, fock_cutoff(params, inp, t), t)
             trace, mean, var = photon_moments(state)
@@ -204,7 +203,7 @@ class TestPhotonStatistics:
 
     @pytest.mark.parametrize("t", [0.0, 1e-9])
     def test_small_time_is_the_coherent_input(self, t):
-        inp = CoherentInput(3.0, 1.1)
+        inp = CoherentInput(3.0)
         for params in (IDEAL_1, LOSSY):
             state = evolve(params, inp, 60, t)
             np.testing.assert_allclose(state.rho, coherent_state(inp, 60), rtol=0, atol=1e-8)
@@ -224,7 +223,7 @@ class TestPhotonStatistics:
     def test_fock_cutoff_tail_is_below_bound(self, params, amplitude_sq, t, tail):
         # the Chernoff cutoff on the output's coherent and thermal parts, at
         # each tail, and fock_cutoff's at its own
-        inp = CoherentInput(amplitude_sq, 0.0)
+        inp = CoherentInput(amplitude_sq)
         g = float(gain(params, t))
         s = _chernoff_count_cutoff(g * amplitude_sq, params.noise_ratio * (g - 1.0), tail)
         populations = evolve(params, inp, 2 * s, t).band[0]
@@ -264,10 +263,10 @@ class TestPhotonStatistics:
 class TestGuards:
     def test_small_cutoff_trips_top_population_guard(self):
         with pytest.raises(GuardTripError, match="top Fock level"):
-            evolve_density_series(IDEAL_1, CoherentInput(2.25, 0.0), 8, [4.0])
+            evolve_density_series(IDEAL_1, CoherentInput(2.25), 8, [4.0])
 
     def test_guard_counts_population_past_the_cutoff(self):
-        inp = CoherentInput(2.25, 0.0)
+        inp = CoherentInput(2.25)
         p = evolve(IDEAL_1, inp, 400, 2.0).band[0]
         at_or_past = p[::-1].cumsum()[::-1]
         # a cutoff whose top level alone passes but whose escaped population does not
@@ -343,7 +342,7 @@ class TestBandSize:
         pytest.param(2.25, 47, 4.0, 7, id="7_times"),
         pytest.param(6.0, 62, 2.0, 3, id="3_times")])
     def test_byte_count_bounds_the_traced_peak(self, amplitude_sq, kmax, t_max, n_times):
-        inp = CoherentInput(amplitude_sq, np.pi)
+        inp = CoherentInput(amplitude_sq)
         times = np.linspace(0.1, t_max, n_times)
         cutoff = fock_cutoff(IDEAL_1, inp, t_max)
         tracemalloc.start()
@@ -422,7 +421,7 @@ class TestBandsInPlace:
         outcomes = set()
         for case in range(40):
             params = random_params(rng)
-            inp = CoherentInput(rng.uniform(0.05, 8.0), rng.uniform(-np.pi, np.pi))
+            inp = CoherentInput(rng.uniform(0.05, 8.0))
             times = np.sort(rng.uniform(0.0, 2.0, (1, 2, 3, 4, 5, 6, 7, 16)[case % 8]))
             if case % 5 == 0:
                 times[0] = 0.0
@@ -447,7 +446,7 @@ class TestBandsInPlace:
     @pytest.mark.parametrize("params, amplitude_sq, times", [
         (IDEAL_1, 2.25, [0.0, 0.4, 1.5]), (LOSSY, 6.0, [0.2]), (IDEAL_1, 30.0, [0.1, 0.3])])
     def test_states_share_one_real_nonnegative_array(self, params, amplitude_sq, times):
-        inp = CoherentInput(amplitude_sq, -1.2)
+        inp = CoherentInput(amplitude_sq)
         cutoff = fock_cutoff(params, inp, times[-1])
         states = evolve_density_series(params, inp, cutoff, times)
         base = states[0].band.base
@@ -457,23 +456,19 @@ class TestBandsInPlace:
             assert state.band.base is base
             assert np.shares_memory(state.band, base[i])
             assert state.band.min() >= 0.0
-            assert state.theta == -1.2
 
 
 class TestFockState:
     def test_rejects_malformed_bands(self):
-        good = band_of(coherent_state(CoherentInput(2.0, 0.0), 30).real, 12)
-        assert FockState(good, 0.3).cutoff_s == 30
+        good = band_of(coherent_state(CoherentInput(2.0), 30).real, 12)
+        assert FockState(good).cutoff_s == 30
         for shape in ((32, 31), (31,), (0, 31)):
             with pytest.raises(ValueError, match=r"band must be \(kmax"):
-                FockState(np.zeros(shape), 0.3)
+                FockState(np.zeros(shape))
         # a complex band, even one whose entries are all real, and an integer one
         for bad in (good.astype(complex), np.eye(13, 31, dtype=int)):
             with pytest.raises(ValueError, match="band must be real floating point"):
-                FockState(bad, 0.3)
-        for theta in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="theta must be finite"):
-                FockState(good, theta)
+                FockState(bad)
         cases = {
             "past the cutoff": (12, 25, 1e-300),
             "trace must be 1": (0, 5, 1e-8),
@@ -482,13 +477,13 @@ class TestFockState:
             bad = good.copy()
             bad[k, n] += delta
             with pytest.raises(ValueError, match=message):
-                FockState(bad, 0.3)
+                FockState(bad)
 
     def test_dense_view_is_the_band_and_exactly_hermitian(self):
         rng = np.random.default_rng(11)
         for _ in range(4):
             params = random_params(rng)
-            inp = CoherentInput(rng.uniform(0.5, 8.0), rng.uniform(-np.pi, np.pi))
+            inp = CoherentInput(rng.uniform(0.5, 8.0))
             t = rng.uniform(0.05, 1.5)
             state = evolve(params, inp, fock_cutoff(params, inp, t), t)
             rho = state.rho
@@ -496,7 +491,7 @@ class TestFockState:
             kmax = state.band.shape[0] - 1
             for k in range(kmax + 1):
                 np.testing.assert_array_equal(np.diagonal(rho, -k),
-                                              state.band[k, : d - k] * np.exp(1j * k * inp.theta))
+                                              state.band[k, : d - k] * np.exp(1j * k * np.pi))
             assert not np.any(np.tril(rho, -kmax - 1))
             np.testing.assert_array_equal(rho, rho.conj().T)
 
@@ -504,17 +499,22 @@ class TestFockState:
 def test_public_classes_refuse_non_finite_values():
     # NaN passes every comparison the range checks make, so each is refused by name
     grid = 2 * np.pi * np.arange(8) / 8
+    inp = CoherentInput(2.0)
     for build, field in [(lambda: PhaseDensity(grid, np.full(8, np.nan)), "density"),
                          (lambda: CoherentInput(math.inf), "amplitude_sq"),
-                         (lambda: CoherentInput(2.0, math.nan), "theta"),
-                         (lambda: AmplifierParams(math.inf), "kappa_up")]:
+                         (lambda: AmplifierParams(math.inf), "kappa_up"),
+                         # a NaN trace, and a NaN off the diagonal, where no trace sees it
+                         (lambda: FockState(np.array([[math.nan, 1.0]])), "band"),
+                         (lambda: FockState(np.array([[0.5, 0.5], [math.nan, 0.0]])), "band"),
+                         (lambda: evolve_density_series(IDEAL_1, inp, 40, [math.nan]), "times"),
+                         (lambda: evolve_density_series(IDEAL_1, inp, 40, [math.inf]), "times")]:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             build()
 
 
 class TestPhaseDensities:
     def test_pegg_barnett_is_normalized(self):
-        inp = CoherentInput(2.25, 0.3)
+        inp = CoherentInput(2.25)
         for params, t in ((IDEAL_1, 0.5), (LOSSY, 1.0)):
             pb = pegg_barnett_distribution(evolve(params, inp, fock_cutoff(params, inp, t), t))
             assert pb.density.sum() * pb.spacing == pytest.approx(1.0, abs=1e-12)
@@ -523,7 +523,7 @@ class TestPhaseDensities:
         rng = np.random.default_rng(17)
         for _ in range(6):
             params = random_params(rng)
-            inp = CoherentInput(rng.uniform(0.5, 8.0), rng.uniform(-np.pi, np.pi))
+            inp = CoherentInput(rng.uniform(0.5, 8.0))
             t = rng.uniform(0.05, 1.5)
             state = evolve(params, inp, fock_cutoff(params, inp, t), t)
             pb = pegg_barnett_distribution(state)
@@ -532,15 +532,14 @@ class TestPhaseDensities:
             assert np.abs(pb.density - pegg_barnett_by_offsets(state.rho)).max() < 1e-13
 
     def test_fft_matches_the_offset_sums_on_a_full_width_band(self):
-        # a real nonnegative state rotated by theta: rho[m, n] e^(i(m - n) theta)
+        # a real nonnegative state rotated by the input phase: rho[m, n] e^(i(m - n) pi)
         rng = np.random.default_rng(19)
         for cutoff in (8, 33, 64):
             a = rng.uniform(size=(cutoff + 1, 3))
             rho = a @ a.T
             rho /= np.trace(rho)
-            theta = rng.uniform(-np.pi, np.pi)
-            turn = np.exp(1j * np.arange(cutoff + 1) * theta)
-            state = FockState(band_of(rho, cutoff), theta)
+            turn = np.exp(1j * np.arange(cutoff + 1) * np.pi)
+            state = FockState(band_of(rho, cutoff))
             pb = pegg_barnett_distribution(state).density
             rotated = turn[:, None] * rho * turn.conj()
             assert np.abs(pb - pegg_barnett_by_offsets(rotated)).max() < 1e-13
@@ -549,15 +548,15 @@ class TestPhaseDensities:
         rng = np.random.default_rng(5)
         for _ in range(6):
             params = AmplifierParams(rng.uniform(0.5, 2.0))
-            inp = CoherentInput(rng.uniform(0.2, 10.0), rng.uniform(-np.pi, np.pi))
+            inp = CoherentInput(rng.uniform(0.2, 10.0))
             t = rng.uniform(0.05, 3.0)
             grid = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
             p = p_function_phase_density(params, inp, t, grid)
             assert p.sum() * (grid[1] - grid[0]) == pytest.approx(1.0, abs=1e-10)
             d = rng.uniform(0.0, np.pi, 64)
             np.testing.assert_allclose(
-                p_function_phase_density(params, inp, t, inp.theta + d),
-                p_function_phase_density(params, inp, t, inp.theta - d),
+                p_function_phase_density(params, inp, t, np.pi + d),
+                p_function_phase_density(params, inp, t, np.pi - d),
                 rtol=1e-12, atol=1e-15,
             )
 
@@ -565,7 +564,7 @@ class TestPhaseDensities:
     def test_eta_is_the_signal_to_noise_ratio_of_the_fock_state(self, kappa_down):
         # eta = |<a>|^2 / nbar with nbar = <N> - |<a>|^2 the thermal occupation
         params = AmplifierParams(1.0, kappa_down)
-        inp = CoherentInput(3.0, 0.6)
+        inp = CoherentInput(3.0)
         for t in (0.2, 1.0, 2.5):
             state = evolve(params, inp, fock_cutoff(params, inp, t), t)
             n = np.arange(state.cutoff_s + 1)
@@ -578,7 +577,7 @@ class TestPhaseDensities:
     def test_lossy_p_function_approaches_pegg_barnett(self):
         # with loss the P-function density still converges to the Fock
         # reference as the gain grows
-        params, inp = LOSSY, CoherentInput(6.0, 0.0)
+        params, inp = LOSSY, CoherentInput(6.0)
         times = [0.3, 3.0]
         cutoff = fock_cutoff(params, inp, times[-1])
         distances = []
@@ -592,7 +591,7 @@ class TestPhaseDensities:
         grid = np.linspace(-np.pi, np.pi, 257)
         previous = np.inf
         for amplitude_sq in (1e-2, 1e-4, 1e-6, 1e-8):
-            inp = CoherentInput(amplitude_sq, 0.5)
+            inp = CoherentInput(amplitude_sq)
             assert eta(IDEAL_1, amplitude_sq, 2.0) < 2 * amplitude_sq
             dev = np.abs(p_function_phase_density(IDEAL_1, inp, 2.0, grid) - 1 / (2 * np.pi)).max()
             assert dev < previous

@@ -7,6 +7,7 @@ import os
 import signal
 import time
 import tracemalloc
+from fnmatch import fnmatchcase
 
 import numpy as np
 import pytest
@@ -219,11 +220,14 @@ def test_default_config_runs(tmp_path, experiment):
         [*bundle.csv_files, f"{experiment}.meta.json"])
 
 
-def monte_carlo_digest(text):
-    """SHA-256 of every column of a CSV's text but analytic_mean, whose last
-    bits depend on the host's SIMD exp."""
+def monte_carlo_digest(text, provenance):
+    """SHA-256 of the text of a CSV's grid and monte-carlo columns, as the
+    sidecar's provenance names them; an analytic column's last bits depend on
+    the host's SIMD exp."""
     lines = text.splitlines()
-    keep = [j for j, h in enumerate(lines[0].split(",")) if h != "analytic_mean"]
+    kinds = [next(kind for pattern, kind in provenance.items() if fnmatchcase(h, pattern))
+             for h in lines[0].split(",")]
+    keep = [j for j, kind in enumerate(kinds) if kind in ("grid", "monte-carlo")]
     digest = hashlib.sha256()
     for line in lines:
         cells = line.split(",")
@@ -231,16 +235,27 @@ def monte_carlo_digest(text):
     return digest.hexdigest()
 
 
+# at n_traj 64 and master_seed 1; number-fan's covers t, sample_mean, sample_se
+# and every traj_* column, variance-compare's t, sample_variance and
+# sample_variance_se, which an input phase of 0 in place of pi would move
+PINNED_DIGESTS = {
+    "number-fan": "c5c7618a227f1fe1419c90a67a2a16a93d618b84976c51fecee3c7768d22d4a6",
+    "variance-compare": "dafd6342faefc9fc492c3decf239aa306e4d9ba078b6540f34aaea5bd67640ed",
+}
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_number_fan_columns_are_pinned(tmp_path, monkeypatch, workers):
-    # t, sample_mean, sample_se and every traj_* column, exactly: the stream
-    # contract fixes these bits whatever the worker count or CSV range split
+@pytest.mark.parametrize("experiment", sorted(PINNED_DIGESTS))
+def test_monte_carlo_columns_are_pinned(tmp_path, monkeypatch, experiment, workers):
+    # exactly: the stream contract fixes these bits whatever the worker count
+    # or CSV range split
     monkeypatch.setattr(_fork, "_WORKERS", workers)
     monkeypatch.setattr(experiments, "_CSV_CELLS", 1)
-    bundle = run_experiment(validate_config({"experiment": "number-fan", "master_seed": 1,
+    bundle = run_experiment(validate_config({"experiment": experiment, "master_seed": 1,
                                              "n_traj": 64, "out": str(tmp_path)}))
-    assert monte_carlo_digest(bundle.csv_files["number-fan.csv"]) == \
-        "c5c7618a227f1fe1419c90a67a2a16a93d618b84976c51fecee3c7768d22d4a6"
+    (name,) = bundle.csv_files
+    assert monte_carlo_digest(bundle.csv_files[name], bundle.metadata["columns"]) == \
+        PINNED_DIGESTS[experiment]
 
 
 @pytest.mark.parametrize("experiment, simulator, stored, reduced", [

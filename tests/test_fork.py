@@ -67,6 +67,15 @@ def test_a_child_that_sends_no_result_makes_the_call_raise(monkeypatch):
         _fork.run_ranges(lambda lo, hi, report: os._exit(0) if lo else None, 2, 1)
 
 
+def test_a_child_whose_result_is_cut_short_makes_the_call_raise(monkeypatch):
+    # a result header promising 100 bytes, none of which follow
+    monkeypatch.setattr(_fork, "_WORKERS", 2)
+    with pytest.raises(RuntimeError, match=r"items 1-1 died \(exit status 0\)"):
+        _fork.run_ranges(
+            lambda lo, hi, report: (report(_fork._RESULT, 100, 0), os._exit(0)) if lo else None,
+            2, 1)
+
+
 def test_without_fork_every_range_runs_in_the_calling_process(monkeypatch):
     monkeypatch.setattr(_fork, "_WORKERS", 3)
     pid = lambda lo, hi, report: os.getpid()

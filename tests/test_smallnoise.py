@@ -131,17 +131,17 @@ HEADLINE_KAPPA_DOWN = [0.0, 0.2, 0.5, 0.75]
 
 
 def exact_phase_variance(params, input, t, points=200_001):
-    """Variance of the P-function phase density over [theta - pi, theta + pi)."""
-    phi = input.theta + np.linspace(-np.pi, np.pi, points)
-    density = p_function_phase_density(params, input, t, phi)
-    return np.trapezoid((phi - input.theta) ** 2 * density, phi)
+    """Variance of the P-function phase density over [0, 2pi), about the input phase pi."""
+    d = np.linspace(-np.pi, np.pi, points)
+    density = p_function_phase_density(params, input, t, np.pi + d)
+    return np.trapezoid(d**2 * density, d)
 
 
 @functools.cache
 def headline_variances(kappa_down, n0):
     """(small-noise, exact) phase variance at kappa_minus t = 30, with kappa_up = 1."""
     params = AmplifierParams(1.0, kappa_down)
-    inp = CoherentInput(n0, 0.4)
+    inp = CoherentInput(n0)
     t = 30.0 / params.kappa_minus
     return float(small_noise_phase_variance(params, inp, t)), exact_phase_variance(params, inp, t)
 

@@ -49,9 +49,10 @@ fill band j's own block, viewed as (d, kmax + 1).  Band i is formed in one
 so no ratio is overwritten before it is used, and the run holds little beyond
 its results.
 
-The cutoff is no setting: fock_cutoff, the one cutoff rule, bounds the tails
-of the displaced-thermal output and of the input by CUTOFF_TAIL, and refuses
-an output whose mean photon number reaches 2**53.  _fock_bytes counts the peak bytes
+The cutoff is no setting: fock_cutoff, the one cutoff rule, holds the
+displaced-thermal output's tail below CUTOFF_TAIL, which holds the input's
+there too (its generating function is below the output's), and refuses an
+output whose mean photon number reaches 2**53.  _fock_bytes counts the peak bytes
 evolve_density_series holds at a cutoff (the bands, and the larger of the
 recurrence's and the band formation's working sets), so that validation
 refuses a run too large for memory before any Fock array is made.
@@ -88,7 +89,7 @@ __all__ = [
 ]
 
 TOP_POPULATION_LIMIT = 1e-6
-CUTOFF_TAIL = 1e-10  # the population fock_cutoff leaves past the cutoff, input and output
+CUTOFF_TAIL = 1e-10  # the population fock_cutoff leaves past the cutoff, output and so input
 MIN_GAIN_EXPONENT = 1e-12  # eta needs kappa_minus * t above this (a gain above 1)
 _MIN_CUTOFF = 48
 
@@ -237,16 +238,18 @@ def _chernoff_count_cutoff(coherent_part: float, thermal_part: float, tail: floa
 
 
 def fock_cutoff(params: AmplifierParams, input: CoherentInput, t: float) -> int:
-    """Cutoff large enough for the input and the amplified output.
+    """Cutoff large enough for the amplified output, and so for the input.
 
     The output photon statistics are displaced thermal with thermal part
     (kappa_up/kappa_minus)(G_t - 1) and coherent part G_t |alpha|^2 — much
     broader than Poisson with the same mean — so the bound is taken on that
-    distribution.  The tails of the input's own (Poisson) count and of the
-    output's are held below CUTOFF_TAIL, and a small floor keeps the phase
-    grid usable at tiny t.  This is the one cutoff rule.  ValueError unless
-    the output's mean photon number is below 2**53 (at 8 bytes a level, past
-    any memory): no finite input overflows.
+    distribution: its Chernoff tail is held below CUTOFF_TAIL.  With G_t >= 1
+    and a thermal part >= 0 the output's generating function is at least the
+    input's Poisson exp(|alpha|^2 zeta) at every zeta, so the Chernoff bound
+    met at the cutoff holds the input's tail below CUTOFF_TAIL too.  A small
+    floor keeps the phase grid usable at tiny t.  This is the one cutoff
+    rule.  ValueError unless the output's mean photon number is below 2**53
+    (at 8 bytes a level, past any memory): no finite input overflows.
     """
     x = min(params.kappa_minus * t, 40.0)  # the mean is at least G - 1, past 2**53 from 36.8 on
     mean = input.amplitude_sq * math.exp(x) + params.noise_ratio * math.expm1(x)
@@ -254,11 +257,10 @@ def fock_cutoff(params: AmplifierParams, input: CoherentInput, t: float) -> int:
         raise ValueError(f"the output's mean photon number must be below 2**53 for a Fock cutoff; "
                          f"got {mean:.3g} at kappa_minus * t = {params.kappa_minus * t:.4g}")
     g = float(gain(params, t))
-    s_in = _chernoff_count_cutoff(input.amplitude_sq, 0.0, CUTOFF_TAIL)
     s_out = _chernoff_count_cutoff(
         g * input.amplitude_sq, params.noise_ratio * (g - 1.0), CUTOFF_TAIL
     )
-    return max(s_in, s_out, _MIN_CUTOFF)
+    return max(s_out, _MIN_CUTOFF)
 
 
 def _log_factorials(m: int) -> np.ndarray:

@@ -50,7 +50,7 @@ from .errors import GuardTripError
 from .expansion import mean_inverse, phase_variance_expansion, truncation_diagnostic
 from .moments import high_gain_inverse_snr, inverse_snr, mean_photon
 from .params import AmplifierParams, CoherentInput
-from .sde import ensemble_stats, simulate_inverse, simulate_polar
+from .sde import ensemble_stats, simulate_inverse, simulate_polar  # noqa: F401 (called by name)
 from .smallnoise import small_noise_phase_variance
 
 __all__ = ["ResultBundle", "run_experiment"]
@@ -156,11 +156,12 @@ def _check_aborts(ensemble, metadata):
         )
 
 
-def _simulated(cfg: ExperimentConfig, simulate):
-    """simulate's ensemble, storing and reducing what the experiment's record
-    names, the statistics of the one variable it reduces, and its abort record."""
-    _, store, reduce = _EXPERIMENTS[cfg.experiment].sde
-    ens = simulate(cfg.params, cfg.input, cfg.sde, store=store, reduce=reduce)
+def _simulated(cfg: ExperimentConfig):
+    """The ensemble of the simulator the experiment's record names (the global
+    of that name, looked up per call), with the record's store and reduce; the
+    statistics of the one variable it reduces, and its abort record."""
+    simulator, store, reduce = _EXPERIMENTS[cfg.experiment].sde
+    ens = globals()[simulator](cfg.params, cfg.input, cfg.sde, store=store, reduce=reduce)
     meta_extra: dict = {}
     _check_aborts(ens, meta_extra)
     (name,) = reduce
@@ -168,7 +169,7 @@ def _simulated(cfg: ExperimentConfig, simulate):
 
 
 def _run_number_fan(cfg: ExperimentConfig):
-    ens, stats, meta_extra = _simulated(cfg, simulate_polar)
+    ens, stats, meta_extra = _simulated(cfg)
     t = ens.times
     analytic = mean_photon(cfg.params, cfg.input.amplitude_sq, t)
     header = ["t", "sample_mean", "sample_se", "analytic_mean"]
@@ -182,7 +183,7 @@ def _run_number_fan(cfg: ExperimentConfig):
 
 
 def _run_variance_compare(cfg: ExperimentConfig):
-    ens, stats, meta_extra = _simulated(cfg, simulate_polar)
+    ens, stats, meta_extra = _simulated(cfg)
     t = ens.times
     k = cfg.resolved["expansion_order"]
     orders = phase_variance_expansion(cfg.params, cfg.input, k, t)
@@ -230,7 +231,7 @@ def _run_snr_nonideal(cfg: ExperimentConfig):
 
 
 def _run_inverse_expansion(cfg: ExperimentConfig):
-    ens, stats, meta_extra = _simulated(cfg, simulate_inverse)
+    ens, stats, meta_extra = _simulated(cfg)
     t = ens.times
     header = ["t", "mc_mean", "mc_se"]
     cols = [t, stats.mean, stats.se_mean]

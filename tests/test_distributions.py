@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import erf, gammaln
+from scipy.special import erf, gammaln, pdtrc
 
 from phasediff import (
     AmplifierParams,
@@ -218,11 +218,15 @@ class TestPhotonStatistics:
             (IDEAL_1, 6.0, 2.0, 1e-8),
             (LOSSY, 3.0, 1.5, 1e-10),
             (AmplifierParams(2.0, 0.5), 0.5, 0.7, 1e-12),
+            (IDEAL_1, 1553.0, 1e-9, 1e-10),  # the output nearest the input
         ],
     )
     def test_fock_cutoff_tail_is_below_bound(self, params, amplitude_sq, t, tail):
         # the Chernoff cutoff on the output's coherent and thermal parts, at
-        # each tail, and fock_cutoff's at its own
+        # each tail, and fock_cutoff's at its own, for the output and for the
+        # input's Poisson count (scipy's pdtrc).  The input's own Chernoff
+        # search is no oracle: its zeta grid is not the output's, and at
+        # 1553 and 1e-9 it gives one level more (1828) than fock_cutoff (1827)
         inp = CoherentInput(amplitude_sq)
         g = float(gain(params, t))
         s = _chernoff_count_cutoff(g * amplitude_sq, params.noise_ratio * (g - 1.0), tail)
@@ -231,6 +235,7 @@ class TestPhotonStatistics:
         s = fock_cutoff(params, inp, t)
         populations = evolve(params, inp, 2 * s, t).band[0]
         assert populations[s + 1:].sum() <= CUTOFF_TAIL
+        assert pdtrc(s, amplitude_sq) <= CUTOFF_TAIL
 
     @pytest.mark.parametrize("thermal", [1e3, 1e8, 4.85e8, 1e12])
     def test_cutoff_search_stays_below_the_pole(self, thermal):
@@ -321,7 +326,7 @@ def per_call_chernoff(coherent_part, thermal_part, tail):
 class TestBandSize:
     @pytest.mark.parametrize("tail", [1e-10, 1e-36])
     def test_grid_formed_once_gives_the_per_call_cutoffs(self, tail):
-        # the input's tail (fock_cutoff) and support (_band_kmax), and the output's at t = 0
+        # the input's support (_band_kmax), and the output's tail (fock_cutoff) at t = 0
         for thermal in (0.0, 1e-310, 1e-3, 5.0, 1e8):
             for amplitude_sq in np.geomspace(0.05, 1000.0, 60):
                 assert (_chernoff_count_cutoff(amplitude_sq, thermal, tail)

@@ -1,13 +1,14 @@
 """Experiment runners: the abort-fraction guard, the CSV writer (its refusal of
 non-finite values, its bytes against a per-cell writer), and every registered
-experiment at its default config."""
+experiment at its default config: its grid, analytic and master-equation
+columns against a golden file, its Monte Carlo columns against digests."""
 
 import hashlib
+import json
 import os
 import signal
 import time
 import tracemalloc
-from fnmatch import fnmatchcase
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from phasediff import _fork, experiments, sde
 from phasediff.config import _EXPERIMENTS
 from phasediff.experiments import _check_aborts, _csv_body, _write_csv
 from phasediff.sde import _integrate_bytes
+
+from make_golden_columns import GOLDEN_PATH, column_kinds, summarize
 
 
 def ensemble(guard_counts):
@@ -211,13 +214,33 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+# within atol + rtol |golden|: wide enough for the last-bit differences of
+# numpy's SIMD exp and log between hosts, narrow enough to catch a variance
+# that moves by 5e-9
+GOLDEN_TOL = (1e-12, 1e-9)
+
+
 @pytest.mark.parametrize("experiment", sorted(list_experiments()))
 def test_default_config_runs(tmp_path, experiment):
+    # the grid, analytic and master-equation columns against
+    # golden_columns.json (make_golden_columns.py writes it)
     cfg = validate_config({"experiment": experiment, "master_seed": 1, "out": str(tmp_path)})
     bundle = run_experiment(cfg)
     assert bundle.csv_files
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [*bundle.csv_files, f"{experiment}.meta.json"])
+    golden = json.loads(GOLDEN_PATH.read_text())[experiment]
+    assert sorted(bundle.csv_files) == sorted(golden)
+    atol, rtol = GOLDEN_TOL
+    for name, want in golden.items():
+        got = summarize(bundle.csv_files[name], bundle.metadata["columns"])
+        assert (got["rows"], list(got["columns"])) == (want["rows"], list(want["columns"])), name
+        for column, ref in want["columns"].items():
+            new = got["columns"][column]
+            np.testing.assert_allclose(new["sample"], ref["sample"], rtol=rtol, atol=atol,
+                                       err_msg=f"{name}:{column}")
+            assert abs(new["fsum"] - ref["fsum"]) <= atol * want["rows"] + rtol * ref["l1"], \
+                f"{name}:{column} column sum"
 
 
 def monte_carlo_digest(text, provenance):
@@ -225,8 +248,7 @@ def monte_carlo_digest(text, provenance):
     sidecar's provenance names them; an analytic column's last bits depend on
     the host's SIMD exp."""
     lines = text.splitlines()
-    kinds = [next(kind for pattern, kind in provenance.items() if fnmatchcase(h, pattern))
-             for h in lines[0].split(",")]
+    kinds = column_kinds(lines[0].split(","), provenance)
     keep = [j for j, kind in enumerate(kinds) if kind in ("grid", "monte-carlo")]
     digest = hashlib.sha256()
     for line in lines:
@@ -235,10 +257,12 @@ def monte_carlo_digest(text, provenance):
     return digest.hexdigest()
 
 
-# at n_traj 64 and master_seed 1; number-fan's covers t, sample_mean, sample_se
-# and every traj_* column, variance-compare's t, sample_variance and
-# sample_variance_se, which an input phase of 0 in place of pi would move
+# at n_traj 64 and master_seed 1, one per SDE experiment; number-fan's covers
+# t, sample_mean, sample_se and every traj_* column, variance-compare's t,
+# sample_variance and sample_variance_se, which an input phase of 0 in place of
+# pi would move, and inverse-expansion's t, mc_mean and mc_se
 PINNED_DIGESTS = {
+    "inverse-expansion": "f62093494d38a7743370d77515f0faa9e654d81b44c6d27f8052f75d8c1816af",
     "number-fan": "c5c7618a227f1fe1419c90a67a2a16a93d618b84976c51fecee3c7768d22d4a6",
     "variance-compare": "dafd6342faefc9fc492c3decf239aa306e4d9ba078b6540f34aaea5bd67640ed",
 }

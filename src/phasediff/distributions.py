@@ -49,12 +49,12 @@ fill band j's own block, viewed as (d, kmax + 1).  Band i is formed in one
 so no ratio is overwritten before it is used, and the run holds little beyond
 its results.
 
-The cutoff is no setting: fock_cutoff, the one cutoff rule, holds the
-displaced-thermal output's tail below CUTOFF_TAIL, which holds the input's
-there too (its generating function is below the output's), and refuses an
-output whose mean photon number reaches 2**53.  _fock_bytes counts the peak bytes
-evolve_density_series holds at a cutoff (the bands, and the larger of the
-recurrence's and the band formation's working sets), so that validation
+The cutoff is no setting: fock_cutoff, the one cutoff rule, gives the smallest
+level where the output's Chernoff tail, minimized in closed form, is below
+CUTOFF_TAIL (and so the input's, whose generating function is below the
+output's) and refuses an output mean of 2**53 or more.  _fock_bytes counts the
+peak bytes evolve_density_series holds at a cutoff (the bands, and the larger of
+the recurrence's and the band formation's working sets), so that validation
 refuses a run too large for memory before any Fock array is made.
 
 No route through this module loads scipy: the log-factorials come
@@ -65,7 +65,6 @@ import beyond numpy's.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -205,36 +204,34 @@ class PhaseDensity:
         return float(self.phi_grid[1] - self.phi_grid[0])
 
 
-@functools.cache
-def _free_zeta_grid() -> tuple[np.ndarray, np.ndarray]:
-    """The zeta grid of every thermal part below 1e-300 (the input's, and the
-    output's at t = 0) and its log1p, read-only: formed on first use, not at
-    import, since np.geomspace's first call adds 0.5 MB to a process's RSS.
-    """
-    zeta = np.geomspace(1e-8, 1e4, 4000)
-    log1p_zeta = np.log1p(zeta)
-    zeta.flags.writeable = log1p_zeta.flags.writeable = False
-    return zeta, log1p_zeta
-
-
 def _chernoff_count_cutoff(coherent_part: float, thermal_part: float, tail: float) -> int:
     """Smallest s with P(X > s) <= tail for a displaced-thermal photon count.
 
-    Uses the Chernoff bound P(X > s) <= M(z)/z^(s+1) on the generating
-    function M(z) = exp(b zeta/(1 - n_th zeta))/(1 - n_th zeta), zeta = z - 1,
-    minimized over a zeta grid below the pole at 1/thermal_part: from 1e-8,
-    or from 1e-8 of its end once the pole is that near (thermal part > ~1e8).
+    The Chernoff bound P(X > s) <= M(z)/z^(s+1) on the generating function
+    M(z) = exp(b zeta/(1 - n zeta))/(1 - n zeta), zeta = z - 1 (coherent part b,
+    thermal part n), has a log convex in zeta on (0, 1/n) and least at a
+    quadratic's root: its minimum F(s) is closed form, 0 while s + 1 <= b + n
+    and falling after that, so s is found by doubling from floor(b + n), then
+    halving.  Exact for cutoffs below 2**53, within the doubles' spacing past it.
     """
-    if thermal_part < 1e-300:
-        zeta, log1p_zeta = _free_zeta_grid()
-    else:
-        zeta_max = (1.0 - 1e-10) / thermal_part
-        zeta = np.geomspace(1e-8 if zeta_max > 1e-8 else 1e-8 * zeta_max, zeta_max, 4000)
-        log1p_zeta = np.log1p(zeta)
-    with np.errstate(over="ignore"):  # a bound that overflows is +inf, never the minimum
-        log_m = coherent_part * zeta / (1.0 - thermal_part * zeta) - np.log1p(-thermal_part * zeta)
-    s_req = (log_m - np.log(tail)) / log1p_zeta - 1.0
-    return max(int(np.ceil(s_req.min())), 0)
+    b, n, log_tail = coherent_part, thermal_part, math.log(tail)
+
+    def log_bound(s: int) -> float:
+        c = b + n - s - 1.0  # the log's zeta-derivative is 0 at -n^2 (s+2) zeta^2 + q zeta + c = 0
+        if c >= 0.0:
+            return 0.0
+        q = b + n * (2.0 * s + 3.0 - n)
+        zeta = -2.0 * c / (q + math.sqrt(q * q + 4.0 * n * n * (s + 2.0) * c))
+        return b * zeta / (1.0 - n * zeta) - math.log1p(-n * zeta) - (s + 1.0) * math.log1p(zeta)
+
+    fails, step = math.floor(b + n) - 1, 1  # F(fails) = 0 > log_tail, or fails = -1
+    while log_bound(fails + step) > log_tail:
+        fails, step = fails + step, 2 * step
+    while step > 1:  # fails + step passes
+        step //= 2
+        if log_bound(fails + step) > log_tail:
+            fails += step
+    return fails + 1
 
 
 def fock_cutoff(params: AmplifierParams, input: CoherentInput, t: float) -> int:
@@ -243,13 +240,14 @@ def fock_cutoff(params: AmplifierParams, input: CoherentInput, t: float) -> int:
     The output photon statistics are displaced thermal with thermal part
     (kappa_up/kappa_minus)(G_t - 1) and coherent part G_t |alpha|^2 — much
     broader than Poisson with the same mean — so the bound is taken on that
-    distribution: its Chernoff tail is held below CUTOFF_TAIL.  With G_t >= 1
-    and a thermal part >= 0 the output's generating function is at least the
-    input's Poisson exp(|alpha|^2 zeta) at every zeta, so the Chernoff bound
-    met at the cutoff holds the input's tail below CUTOFF_TAIL too.  A small
-    floor keeps the phase grid usable at tiny t.  This is the one cutoff
-    rule.  ValueError unless the output's mean photon number is below 2**53
-    (at 8 bytes a level, past any memory): no finite input overflows.
+    distribution: the cutoff is the smallest level whose Chernoff tail,
+    minimized exactly, is below CUTOFF_TAIL.  With G_t >= 1 and a thermal part
+    >= 0 the output's generating function is at least the input's Poisson
+    exp(|alpha|^2 zeta) at every zeta, so the Chernoff bound met at the cutoff
+    holds the input's tail below CUTOFF_TAIL too.  A small floor keeps the
+    phase grid usable at tiny t.  This is the one cutoff rule.  ValueError
+    unless the output's mean photon number is below 2**53 (at 8 bytes a level,
+    past any memory): no finite input overflows.
     """
     x = min(params.kappa_minus * t, 40.0)  # the mean is at least G - 1, past 2**53 from 36.8 on
     mean = input.amplitude_sq * math.exp(x) + params.noise_ratio * math.expm1(x)

@@ -155,3 +155,21 @@ def test_fock_cutoff_is_taken_once_in_validation(tmp_path, monkeypatch, experime
     assert len(calls) == 1
     run_experiment(cfg)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("doc, cutoff", [
+    pytest.param({"experiment": "variance-from-dist", "t_max": 2.5, "n_time_points": 8}, 489,
+                 id="bench-variance-from-dist"),
+    pytest.param({"experiment": "dist-converge", "amplitude_sq": 6.0, "times": [0.5, 2.0]}, 381,
+                 id="bench-dist-converge"),
+    pytest.param({"experiment": "variance-from-dist", "t_max": 0.5, "n_time_points": 3}, 49,
+                 id="tiny-variance-from-dist"),
+    pytest.param({"experiment": "dist-converge", "amplitude_sq": 6.0, "times": [0.2, 0.5]}, 68,
+                 id="tiny-dist-converge"),
+    pytest.param({"experiment": "variance-from-dist"}, 2251, id="default-variance-from-dist"),
+    pytest.param({"experiment": "dist-converge"}, 2251, id="default-dist-converge"),
+])
+def test_fock_cutoffs_the_outputs_depend_on(doc, cutoff):
+    # the cutoff sets the Pegg-Barnett grid, so a change here changes every
+    # Fock CSV's row count: the benchmark's and tiny scale's configs, and the defaults
+    assert validate_config({**doc, "master_seed": 1}).cutoff_s == cutoff

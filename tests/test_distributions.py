@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 from scipy.special import erf, gammaln, pdtrc
 
 from phasediff import (
@@ -158,6 +159,21 @@ def photon_moments(state):
     return p.sum(), mean, ((n - mean) ** 2 * p).sum()
 
 
+def oracle_log_bound(coherent_part, thermal_part, s):
+    """min over zeta of the log Chernoff bound on P(X > s), by scipy's bounded
+    minimizer over log zeta (shifted by log thermal_part, so the pole is at 0)."""
+    b, n = coherent_part, thermal_part
+    scale = n if n > 0 else 1.0
+
+    def log_bound(x):
+        zeta = math.exp(x) / scale
+        return b * zeta / (1.0 - n * zeta) - math.log1p(-n * zeta) - (s + 1) * math.log1p(zeta)
+
+    found = minimize_scalar(log_bound, bounds=(-60.0, -1e-12 if n > 0 else 20.0),
+                            method="bounded", options={"xatol": 1e-12})
+    return min(found.fun, 0.0)  # the bound is 1 at zeta = 0
+
+
 class TestClosedFormAgainstRk4:
     @pytest.mark.parametrize(
         "params, input, times",
@@ -224,9 +240,7 @@ class TestPhotonStatistics:
     def test_fock_cutoff_tail_is_below_bound(self, params, amplitude_sq, t, tail):
         # the Chernoff cutoff on the output's coherent and thermal parts, at
         # each tail, and fock_cutoff's at its own, for the output and for the
-        # input's Poisson count (scipy's pdtrc).  The input's own Chernoff
-        # search is no oracle: its zeta grid is not the output's, and at
-        # 1553 and 1e-9 it gives one level more (1828) than fock_cutoff (1827)
+        # input's Poisson count (scipy's pdtrc and its own Chernoff cutoff)
         inp = CoherentInput(amplitude_sq)
         g = float(gain(params, t))
         s = _chernoff_count_cutoff(g * amplitude_sq, params.noise_ratio * (g - 1.0), tail)
@@ -236,16 +250,43 @@ class TestPhotonStatistics:
         populations = evolve(params, inp, 2 * s, t).band[0]
         assert populations[s + 1:].sum() <= CUTOFF_TAIL
         assert pdtrc(s, amplitude_sq) <= CUTOFF_TAIL
+        assert s >= _chernoff_count_cutoff(amplitude_sq, 0.0, CUTOFF_TAIL)
 
     @pytest.mark.parametrize("thermal", [1e3, 1e8, 4.85e8, 1e12])
     def test_cutoff_search_stays_below_the_pole(self, thermal):
-        # from a thermal part of about 1e8 on (kappa_minus t = 18.4 at r = 1) a
-        # zeta grid starting at 1e-8 would lie past the pole at 1/thermal.  A
+        # from a thermal part of about 1e8 on (kappa_minus t = 18.4 at r = 1) the
+        # bound's minimizer lies below 1e-8, next to the pole at 1/thermal.  A
         # thermal count has P(X > s) = (n / (1 + n))^(s + 1) exactly; the
         # Chernoff cutoff bounds it, 1.187 times the exact one at each n here
         s = _chernoff_count_cutoff(0.0, thermal, 1e-10)
         exact = math.ceil(math.log(1e10) / math.log1p(1.0 / thermal)) - 1
         assert exact <= s <= 1.2 * exact
+
+    @pytest.mark.parametrize("coherent_part, thermal_part, tail", [
+        *[(b, 0.0, tail) for b in (0.05, 2.25, 1553.0, 1e5) for tail in (1e-10, 1e-36)],
+        *[(0.0, n, tail) for n in (1e3, 1e8, 4.85e8, 1e12) for tail in (1e-10, 1e-36)],
+        pytest.param(float(gain(IDEAL_1, 4.0)) * 2.25, float(gain(IDEAL_1, 4.0)) - 1.0, 1e-10,
+                     id="variance-from-dist-t4"),
+    ])
+    def test_cutoff_is_the_chernoff_bounds_exact_answer(self, coherent_part, thermal_part, tail):
+        # the smallest s whose bound, minimized by a search that solves no
+        # quadratic, is at most the tail
+        s = _chernoff_count_cutoff(coherent_part, thermal_part, tail)
+        assert oracle_log_bound(coherent_part, thermal_part, s) <= math.log(tail)
+        assert s == 0 or oracle_log_bound(coherent_part, thermal_part, s - 1) > math.log(tail)
+
+    def test_cutoff_never_decreases_as_the_count_or_its_confidence_grows(self):
+        # the bound grows with each at every zeta, so its exact cutoff cannot fall
+        rng = np.random.default_rng(58)
+        for _ in range(300):
+            b = 10.0 ** rng.uniform(-2.0, 5.0)
+            n = 10.0 ** rng.uniform(-12.0, 5.0) * rng.integers(0, 2)  # half thermal-free
+            tail = 10.0 ** rng.uniform(-40.0, -3.0)
+            up = 1.0 + 10.0 ** rng.uniform(-9.0, 0.0)
+            s = _chernoff_count_cutoff(b, n, tail)
+            assert _chernoff_count_cutoff(b * up, n, tail) >= s, (b, n, tail, up)
+            assert _chernoff_count_cutoff(b, n * up if n else up - 1.0, tail) >= s, (b, n, tail, up)
+            assert _chernoff_count_cutoff(b, n, tail / up) >= s, (b, n, tail, up)
 
     @pytest.mark.parametrize("t, amplitude_sq", [(700.0, 2.25), (709.0, 2.25), (800.0, 2.25),
                                                  (1.0, 1e300)])
@@ -260,8 +301,10 @@ class TestPhotonStatistics:
         inp = CoherentInput(2.25)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # a thermal part of 1e-300: its Chernoff grid reaches 1e300, where the bound overflows
+            # a gain of exp(1e-300), which rounds to 1: no thermal part
             assert fock_cutoff(IDEAL_1, inp, 1e-300) == fock_cutoff(IDEAL_1, inp, 0.0)
+            # exact below 2**53 (a 60-digit check agrees), within the doubles' spacing past it
+            assert fock_cutoff(IDEAL_1, inp, 33.0) == 8_917_238_378_842_495
             assert fock_cutoff(IDEAL_1, inp, 35.0) > 1e16  # mean 5.1e15
 
 
@@ -313,25 +356,7 @@ def whole_table_kmax(input, d):
     return d - 1
 
 
-def per_call_chernoff(coherent_part, thermal_part, tail):
-    """_chernoff_count_cutoff with its zeta grid built on every call."""
-    zeta_max = 1e4 if thermal_part < 1e-300 else (1.0 - 1e-10) / thermal_part
-    zeta = np.geomspace(1e-8 if zeta_max > 1e-8 else 1e-8 * zeta_max, zeta_max, 4000)
-    with np.errstate(over="ignore"):
-        log_m = coherent_part * zeta / (1.0 - thermal_part * zeta) - np.log1p(-thermal_part * zeta)
-    s_req = (log_m - np.log(tail)) / np.log1p(zeta) - 1.0
-    return max(int(np.ceil(s_req.min())), 0)
-
-
 class TestBandSize:
-    @pytest.mark.parametrize("tail", [1e-10, 1e-36])
-    def test_grid_formed_once_gives_the_per_call_cutoffs(self, tail):
-        # the input's support (_band_kmax), and the output's tail (fock_cutoff) at t = 0
-        for thermal in (0.0, 1e-310, 1e-3, 5.0, 1e8):
-            for amplitude_sq in np.geomspace(0.05, 1000.0, 60):
-                assert (_chernoff_count_cutoff(amplitude_sq, thermal, tail)
-                        == per_call_chernoff(amplitude_sq, thermal, tail)), (amplitude_sq, thermal)
-
     @pytest.mark.parametrize("amplitude_sq", [0.05, 1.01, 2.25, 30.0, 1000.0])
     def test_kmax_from_the_input_support_matches_the_whole_table(self, amplitude_sq):
         inp = CoherentInput(amplitude_sq)

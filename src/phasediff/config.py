@@ -16,10 +16,12 @@ aggregated: all problems are reported at once, each naming its field.
 The Fock cutoff is no field: validation resolves a Fock run's times (its
 record's rule) and distributions.fock_cutoff, the one cutoff rule, at the
 last of them, and the config carries both to the run, which records the
-cutoff in the sidecar.  Validation refuses, naming times or t_max, a run whose
-cutoff that rule refuses or whose Fock arrays exceed physical memory, and,
-naming n_traj, an SDE run whose arrays (phasediff.sde._integrate_bytes of its
-record's simulator, store and reduce) do.
+cutoff in the sidecar.  A Fock run streams its offset sums and holds no band,
+so its size is bounded by its work, not its memory: validation refuses, naming
+times or t_max, a run whose cutoff that rule refuses or whose work
+(distributions._fock_work, in formed band entries) exceeds _FOCK_WORK_LIMIT,
+and, naming n_traj, an SDE run whose arrays (phasediff.sde._integrate_bytes of
+its record's simulator, store and reduce) exceed physical memory.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .distributions import MIN_GAIN_EXPONENT, _fock_bytes, fock_cutoff
+from .distributions import MIN_GAIN_EXPONENT, _fock_work, fock_cutoff
 from .params import AmplifierParams, CoherentInput
 from .sde import SdeConfig, _integrate_bytes, _physical_memory
 
@@ -168,20 +170,24 @@ _CHECKS = {
 }
 
 
+# the most work validation admits for a Fock run, counted in formed band entries
+# (distributions._fock_work): about a minute's run on a 2-vCPU x86-64 host
+_FOCK_WORK_LIMIT = 2 * 10**9
+
+
 def _fock_cutoff(params: AmplifierParams, input_: CoherentInput, times: tuple[float, ...],
                 key: str) -> tuple[int | None, list]:
     """The Fock cutoff at a run's last time, and [(key, message)] when the
-    cutoff rule refuses that time or the run's arrays exceed physical memory."""
-    have = _physical_memory()
+    cutoff rule refuses that time or the run's work exceeds _FOCK_WORK_LIMIT."""
     try:
         cutoff = fock_cutoff(params, input_, times[-1])
     except ValueError as exc:
-        return None, [(key, f"{exc}: no Fock basis that large fits the {have:.3g} bytes of "
-                            "physical memory")]
-    need = _fock_bytes(input_, cutoff, len(times), have)
-    return cutoff, [] if need <= have else [(key, (
-        f"needs at least {need:.3g} bytes (a Fock cutoff of {cutoff} at {len(times)} times), "
-        f"more than the {have:.3g} bytes of physical memory"))]
+        return None, [(key, f"{exc}, far past the work bound of {_FOCK_WORK_LIMIT:,} "
+                            "band entries")]
+    work = _fock_work(input_, cutoff, len(times), _FOCK_WORK_LIMIT)
+    return cutoff, [] if work <= _FOCK_WORK_LIMIT else [(key, (
+        f"forms at least {work:,} band entries (a Fock cutoff of {cutoff} at {len(times)} "
+        f"times), more than the work bound of {_FOCK_WORK_LIMIT:,}"))]
 
 
 def experiment_defaults(experiment: str) -> dict:

@@ -8,7 +8,8 @@ Two routes to the phase density of the amplified field:
   evaluated in an algebraically expanded form that is free of the
   sec(phi - INPUT_PHASE) singularity of the textbook expression.
 * evolve_density_series + pegg_barnett_distribution - the exact output state
-  in a truncated Fock basis, projected onto the discrete phase states
+  in a truncated Fock basis (its offset sums, streamed, in the runners),
+  projected onto the discrete phase states
   |phi_m> = (s+1)^(-1/2) sum_n exp(i n phi_m) |n>.
 
 The gain/loss master equation is a phase-insensitive Gaussian channel, so a
@@ -42,23 +43,24 @@ over [0, 2pi).  That window needs no setting: the output density is
 single-peaked at pi, one period holds all of it, and distribution_variance
 recentres the window on its peak.
 
-The bands of all requested times are one float64 (times, kmax + 1, d) array,
-and the recurrence's ratios M_n / M_(n-1) live in it too: time j's ratios
-fill band j's own block, viewed as (d, kmax + 1).  Band i is formed in one
-(kmax + 1, d) scratch from its own time's ratios and then written over them,
-so no ratio is overwritten before it is used, and the run holds little beyond
-its results.
+Every Fock output reads the state only through its offset sums c_k, its trace,
+its top level's population and its band edge, so no run holds a band:
+_band_blocks runs the recurrence forward in n and forms the band entries of
+_BLOCK levels at a time, for all times, in one reused (times, levels, kmax + 1)
+scratch, and the runners reduce each block to the offset sums and the two
+guard scalars (_offset_sums).  evolve_density_series writes the same blocks
+into its states' bands, so the recurrence and the band formula exist once.
 
 The cutoff is no setting: fock_cutoff, the one cutoff rule, gives the smallest
 level where the output's Chernoff tail, minimized in closed form, is below
 CUTOFF_TAIL (and so the input's, whose generating function is below the
-output's) and refuses an output mean of 2**53 or more.  _fock_bytes counts the
-peak bytes evolve_density_series holds at a cutoff (the bands, and the larger of
-the recurrence's and the band formation's working sets), so that validation
-refuses a run too large for memory before any Fock array is made.
+output's) and refuses an output mean of 2**53 or more.  A streamed run holds
+O(times x (kmax + 1) x _BLOCK) floats and the d + kmax log-factorials, but its
+time grows with d: _fock_work counts it in formed band entries, so that
+validation refuses a run too long before any Fock table is made.
 
 No route through this module loads scipy: the log-factorials come
-from one table of math.lgamma values, built per call of evolve_density_series,
+from one table of math.lgamma values, built per run of the recurrence,
 and erf is math.erf applied point by point, so the phase densities cost no
 import beyond numpy's.
 """
@@ -287,117 +289,133 @@ def _band_kmax(input: CoherentInput, d: int) -> int:
     return d - 1
 
 
-# recurrence steps whose coefficients are formed at once; forming them for every
-# n would hold two more (d, times, kmax + 1) arrays
-_RATIO_BLOCK = 64
+_BLOCK = 64  # levels whose band entries are formed at once, for all times
+
+# a recurrence step, with its share of its block's calls, costs about as much as
+# forming this many band entries (2.5-3.8 us a level against 17-19 ns an entry,
+# fitted over 1-32 times on a 2-vCPU x86-64 host)
+_STEP_ENTRIES = 200
 
 
-def _fock_bytes(input: CoherentInput, cutoff_s: int, n_times: int, limit: float) -> int:
-    """Peak bytes evolve_density_series holds for n_times times at cutoff_s.
+def _fock_work(input: CoherentInput, cutoff_s: int, n_times: int, limit: float) -> int:
+    """Work of a Fock run of n_times times at cutoff_s, counted in formed band entries.
 
-    With d = cutoff_s + 1 and rows = kmax + 1: the d + kmax log-factorials and
-    the float64 bands, 8 bytes an entry, which also hold the ratios, then the
-    larger of the two working sets of _output_bands and numpy's ufunc buffers.
-    The recurrence holds one _RATIO_BLOCK of coefficients (firsts and seconds)
-    and the working row and step, n_times x rows each, and the block's integer
-    coefficients, rows each; the band formation holds log_fact_ratio and the
-    log-band scratch, rows x d each, and the levels and outside tables, d + rows
-    each.  When the count at the floor rows >= min(_BAND_MARGIN + 2, d) already
-    exceeds limit, that count is returned and no table is built.
+    d = cutoff_s + 1 levels, each forming n_times x (kmax + 1) entries and
+    taking one recurrence step of _STEP_ENTRIES.  When the count at the floor
+    kmax + 1 >= min(_BAND_MARGIN + 2, d) already exceeds limit, that count is
+    returned and no table is built.
     """
     d = cutoff_s + 1
-    block = max(min(_RATIO_BLOCK, d - 2), 0)
 
-    def peak(rows: int) -> int:  # the ufunc buffers: up to 133 kB seen, casting in the recurrence
-        recurrence = 16 * n_times * rows * (block + 1) + 8 * block * rows
-        formation = 16 * rows * d + 9 * (d + rows)
-        return (8 * (d + rows - 1) + 8 * n_times * rows * d + max(recurrence, formation)
-                + 20 * np.getbufsize())
+    def work(rows: int) -> int:
+        return d * (n_times * rows + _STEP_ENTRIES)
 
-    floor = peak(min(_BAND_MARGIN + 2, d))  # offset 0 is always kept: kmax >= min(9, d - 1)
-    return floor if floor > limit else peak(_band_kmax(input, d) + 1)
+    floor = work(min(_BAND_MARGIN + 2, d))  # offset 0 is always kept: kmax >= min(9, d - 1)
+    return floor if floor > limit else work(_band_kmax(input, d) + 1)
 
 
-def _output_bands(params: AmplifierParams, input: CoherentInput, log_fact: np.ndarray, d: int,
-                  kmax: int, times: np.ndarray) -> np.ndarray:
-    """Untruncated output bands of moduli B[i, k, n] = |rho[n+k, n](times[i])|,
-    zero past the cutoff.
+def _fock_levels(input: CoherentInput, cutoff_s: int, times) -> tuple[np.ndarray, int, int]:
+    """The times as a float array, refused unless finite and nonnegative, the
+    level count d = cutoff_s + 1 and the band's kmax."""
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError(f"times must be finite and nonnegative, got {times.tolist()}")
+    d = int(cutoff_s) + 1
+    return times, d, _band_kmax(input, d)
 
-    log_fact[j] = log j! for j <= d - 1 + kmax.  The bands are one float64
-    (times, kmax + 1, d) array, and the recurrence, run for all times at once,
-    keeps time j's ratios M_n / M_(n-1) in band j's own block, viewed as
-    (d, kmax + 1).  Band i is formed in one (kmax + 1, d) scratch from its own
-    time's log ratios and then written over them, so no ratio is overwritten
-    before it is read.
+
+def _band_blocks(params: AmplifierParams, input: CoherentInput, times: np.ndarray, d: int,
+                 kmax: int):
+    """Yield (n0, block) for n0 = 0, _BLOCK, 2 _BLOCK, ... < d, where
+    block[i, j, k] = |rho[n+k, n](times[i])| at level n = n0 + j of the
+    untruncated output, zero past the cutoff.
+
+    Every block is the same reused (times, levels, kmax + 1) scratch, written
+    over by the next; times lead, so that each term that varies with time
+    alone meets one contiguous (levels, kmax + 1) run per time.  The
+    recurrence runs forward in n for all times at once and copies each
+    level's ratios M_n / M_(n-1) into the scratch; log M is carried from
+    block to block, so each running sum is the one a cumsum over all n makes.
     """
-    n_times, rows = len(times), kmax + 1
-    bands = np.empty((n_times, rows, d))
-    ratios = bands.reshape(n_times, d, rows)  # time j's ratios in band j's block
+    rows = kmax + 1
+    log_fact = _log_factorials(d + kmax)  # log j! up to j = n + k = d - 1 + kmax
     t = times[:, None]
     nbar = params.noise_ratio * np.expm1(params.kappa_minus * t)
     beta_sq = gain(params, t) * input.amplitude_sq
     y = beta_sq / (1.0 + nbar)
-    k = np.arange(rows)[None, :]
+    k = np.arange(rows)
     # ratios M_n / M_(n-1) of M_n = nbar^n L_n^(k)(-y/nbar), from
     # (n+1) M_(n+1) = ((2n+1+k) nbar + y) M_n - (n+k) nbar^2 M_(n-1);
     # M_n > 0 and it is the dominant solution, so the forward recurrence is stable;
     # each step does the formula's floating-point operations in its order, on a
-    # contiguous working row that is then copied into place
-    ratios[:, 0] = 1.0
-    row = (1 + k) * nbar + y
-    if d > 1:
-        ratios[:, 1] = row
-    nbar_sq = nbar**2
+    # contiguous working row that is then copied into the scratch
+    row = (1 + k) * nbar + y  # M_1 / M_0
     step = np.empty_like(row)
-    for n0 in range(1, d - 1, _RATIO_BLOCK):
-        ns = np.arange(n0, min(n0 + _RATIO_BLOCK, d - 1))
-        firsts = (2 * ns[:, None, None] + 1 + k) * nbar + y
-        seconds = (ns[:, None, None] + k) * nbar_sq
-        for n, first, second in zip(ns.tolist(), firsts, seconds):
+    log_m = np.zeros_like(row)  # log M_(n0 - 1)
+    k_half_log_beta_sq = (k * (0.5 * np.log(beta_sq)))[:, None, :]
+    # (times, 1, 1): broadcast over a block's levels and offsets
+    nbar, y = nbar[:, :, None], y[:, :, None]
+    nbar_sq, log1p_nbar = nbar**2, np.log1p(nbar)
+    log_fact_shifted = sliding_window_view(log_fact, rows)  # [n, k] = log (n + k)!
+    # the block and its levels' recurrence coefficients (the firsts in the
+    # scratch that then holds the formation's product), reused from block to block
+    scratch, product, seconds_scratch = np.empty((3, len(times), min(_BLOCK, d), rows))
+    for n0 in range(0, d, _BLOCK):
+        n1 = min(n0 + _BLOCK, d)
+        block = scratch[:, : n1 - n0]
+        first = max(n0, 2)  # levels 0 and 1 are 1 and the row, the rest a step each
+        if n0 == 0:
+            block[:, 0] = 1.0
+            if d > 1:
+                block[:, 1] = row
+        ns = np.arange(first - 1, n1 - 1, dtype=float)[:, None]  # step n gives level n + 1
+        firsts = np.multiply(2 * ns + 1 + k, nbar, out=product[:, : len(ns)])
+        firsts += y
+        seconds = np.multiply(ns + k, nbar_sq, out=seconds_scratch[:, : len(ns)])
+        for first_n, second, ratio, n in zip(*(a.transpose(1, 0, 2) for a in (
+                firsts, seconds, block[:, first - n0:])), (ns[:, 0] + 1).tolist()):
             np.divide(second, row, out=step)
-            np.subtract(first, step, out=step)
-            np.divide(step, n + 1, out=row)
-            ratios[:, n + 1] = row
-        del firsts, seconds, first, second  # before the next block is formed
+            np.subtract(first_n, step, out=step)
+            np.divide(step, n, out=row)
+            np.copyto(ratio, row)
 
-    # (rows, d) views whose entry [k, n] is v[n + k]: n + k + 1, n + k >= d, log (n + k)!
-    levels = sliding_window_view(np.arange(1.0, d + rows), d)
-    outside = sliding_window_view(np.arange(d + kmax) >= d, d)
-    log_fact_ratio = log_fact[:d] - sliding_window_view(log_fact, d)
-    log_fact_ratio *= 0.5
-    kk = k[0][:, None]
-    log1p_nbar = np.log1p(nbar)
-    half_log_beta_sq = 0.5 * np.log(beta_sq)
-    log_band = np.empty((rows, d))
-    for i in range(n_times):
-        # log M_n in time i's own ratio storage, then the log band in the scratch:
-        # both before band i is written over them
-        np.log(ratios[i], out=ratios[i])
-        np.cumsum(ratios[i], axis=0, out=ratios[i])
-        np.multiply(levels, log1p_nbar[i], out=log_band)
-        np.subtract(ratios[i].T, log_band, out=log_band)
-        np.add(log_band, log_fact_ratio, out=log_band)
-        np.add(log_band, kk * half_log_beta_sq[i], out=log_band)
-        np.subtract(log_band, y[i], out=log_band)
-        np.exp(log_band, out=log_band)
-        np.copyto(log_band, 0.0, where=outside)
-        bands[i] = log_band
-    return bands
+        np.log(block, out=block)
+        block[:, 0] += log_m
+        np.cumsum(block, axis=1, out=block)
+        log_m[...] = block[:, -1]
+        levels = np.arange(n0 + 1.0, n1 + 1.0)[:, None] + k  # n + k + 1
+        np.multiply(levels, log1p_nbar, out=product[:, : n1 - n0])
+        np.subtract(block, product[:, : n1 - n0], out=block)
+        log_fact_ratio = log_fact[n0:n1, None] - log_fact_shifted[n0:n1]
+        log_fact_ratio *= 0.5
+        np.add(block, log_fact_ratio, out=block)
+        np.add(block, k_half_log_beta_sq, out=block)
+        np.subtract(block, y, out=block)
+        np.exp(block, out=block)
+        if n1 + kmax > d:  # the block reaches past the cutoff
+            np.copyto(block, 0.0, where=levels > d)
+        yield n0, block
 
 
-def _check_band(band: np.ndarray, d: int, t: float, escaped: float):
-    top = band[0, d - 1] + escaped
+def _edge_offsets(rows: int) -> slice:
+    """The band's last three offsets, which the band-edge guard reads; none
+    in a band of fewer than four."""
+    return slice(rows - 3 if rows >= 4 else rows, rows)
+
+
+def _check_guards(t: float, top: float, edge: float):
+    """Refuse an output state whose top level and beyond (top: the top level's
+    population plus the mass past the cutoff) or whose band edge (the largest
+    entry of the last three offsets) is populated."""
     if top > TOP_POPULATION_LIMIT:
         raise GuardTripError(
             f"top Fock level and beyond hold {top:.2e} > {TOP_POPULATION_LIMIT} at t={t}; "
             "cutoff too small for this horizon"
         )
-    if band.shape[0] >= 4:
-        edge = band[-3:].max()
-        if edge > 1e-10:
-            raise GuardTripError(
-                f"coherence band edge reached {edge:.2e} at t={t}; enlarge the offset margin"
-            )
+    if edge > 1e-10:
+        raise GuardTripError(
+            f"coherence band edge reached {edge:.2e} at t={t}; enlarge the offset margin"
+        )
 
 
 def evolve_density_series(
@@ -411,21 +429,42 @@ def evolve_density_series(
     The population at or past the top level (cutoff_s) must stay below
     TOP_POPULATION_LIMIT and the band edge below 1e-10, else GuardTripError.
     The states' bands are views of one float64 (times, kmax + 1, cutoff_s + 1)
-    array.
+    array, filled block by block from _band_blocks.  It is for callers that
+    want the states themselves: the runners, which read only offset sums,
+    stream them (_offset_sums) and hold no band.
     """
-    times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(times) & (times >= 0)):
-        raise ValueError(f"times must be finite and nonnegative, got {times.tolist()}")
-    d = int(cutoff_s) + 1
-    kmax = _band_kmax(input, d)
-    log_fact = _log_factorials(d + kmax)  # up to n + k = d - 1 + kmax
+    times, d, kmax = _fock_levels(input, cutoff_s, times)
+    bands = np.empty((len(times), kmax + 1, d))
+    for n0, block in _band_blocks(params, input, times, d, kmax):
+        bands[:, :, n0:n0 + block.shape[1]] = block.transpose(0, 2, 1)
     out = []
-    for t, band in zip(times, _output_bands(params, input, log_fact, d, kmax, times)):
+    for t, band in zip(times, bands):
         trace = band[0].sum()
-        _check_band(band, d, t, 1.0 - trace)
+        _check_guards(t, band[0, d - 1] + (1.0 - trace),
+                      band[_edge_offsets(kmax + 1)].max(initial=0.0))
         band /= trace
         out.append(FockState(band))
     return out
+
+
+def _offset_sums(params: AmplifierParams, input: CoherentInput, cutoff_s: int,
+                 times) -> np.ndarray:
+    """Offset sums c_k = sum_n |rho[n+k, n]| of the output at each time, over
+    the unit trace: the (times, kmax + 1) sums evolve_density_series's states
+    give, under the same guards, from the streamed blocks alone."""
+    times, d, kmax = _fock_levels(input, cutoff_s, times)
+    sums = np.zeros((len(times), kmax + 1))
+    edge = np.zeros(len(times))
+    edges = _edge_offsets(kmax + 1)
+    for _, block in _band_blocks(params, input, times, d, kmax):
+        sums += block.sum(axis=1)
+        np.maximum(edge, block[:, :, edges].max(axis=(1, 2), initial=0.0), out=edge)
+    trace = sums[:, 0].copy()
+    top = block[:, -1, 0] + (1.0 - trace)  # the last block ends at the top level
+    for t, top_t, edge_t in zip(times, top, edge):
+        _check_guards(t, top_t, edge_t)
+    sums /= trace[:, None]
+    return sums
 
 
 def pegg_barnett_distribution(state: FockState) -> PhaseDensity:
@@ -437,8 +476,13 @@ def pegg_barnett_distribution(state: FockState) -> PhaseDensity:
     the kmax + 1 real band sums turned by the input phase, then one FFT of c_k
     zero-padded to s+1 points.  The grid sum integrates to trace(rho) exactly.
     """
-    d = state.cutoff_s + 1
-    c = state.band.sum(axis=1) * np.exp(1j * np.arange(len(state.band)) * INPUT_PHASE)
+    return _pegg_barnett(state.band.sum(axis=1), state.cutoff_s + 1)
+
+
+def _pegg_barnett(sums: np.ndarray, d: int) -> PhaseDensity:
+    """The Pegg-Barnett density on d points from the real offset sums
+    sum_n band[k, n], k = 0..kmax (see pegg_barnett_distribution)."""
+    c = sums * np.exp(1j * np.arange(len(sums)) * INPUT_PHASE)
     dens = (2 * np.fft.fft(c, n=d).real - c[0].real) / (2 * np.pi)
     return PhaseDensity(phi_grid=2 * np.pi * np.arange(d) / d, density=np.maximum(dens, 0.0))
 

@@ -41,10 +41,10 @@ from ._fork import run_ranges, split_ranges
 from .config import _EXPERIMENTS, ConfigError, ExperimentConfig
 from .distributions import (
     PhaseDensity,
+    _offset_sums,
+    _pegg_barnett,
     distribution_variance,
-    evolve_density_series,
     p_function_phase_density,
-    pegg_barnett_distribution,
 )
 from .errors import GuardTripError
 from .expansion import mean_inverse, phase_variance_expansion, truncation_diagnostic
@@ -246,10 +246,10 @@ def _run_inverse_expansion(cfg: ExperimentConfig):
 
 
 def _run_dist_converge(cfg: ExperimentConfig):
-    states = evolve_density_series(cfg.params, cfg.input, cfg.cutoff_s, cfg.times)
+    sums = _offset_sums(cfg.params, cfg.input, cfg.cutoff_s, cfg.times)
     files, meta_extra = {}, {"cutoff_s": cfg.cutoff_s, "times": list(cfg.times)}
-    for i, (t, state) in enumerate(zip(cfg.times, states), start=1):
-        pb = pegg_barnett_distribution(state)
+    for i, (t, c) in enumerate(zip(cfg.times, sums), start=1):
+        pb = _pegg_barnett(c, cfg.cutoff_s + 1)
         p_closed = p_function_phase_density(cfg.params, cfg.input, t, pb.phi_grid)
         files[f"dist-converge.t{i}.csv"] = _csv_body(
             ["phi", "p_function", "pegg_barnett"],
@@ -260,8 +260,8 @@ def _run_dist_converge(cfg: ExperimentConfig):
 
 
 def _run_variance_from_dist(cfg: ExperimentConfig):
-    states = evolve_density_series(cfg.params, cfg.input, cfg.cutoff_s, cfg.times)
-    var_pb = np.array([distribution_variance(pegg_barnett_distribution(s)) for s in states])
+    sums = _offset_sums(cfg.params, cfg.input, cfg.cutoff_s, cfg.times)
+    var_pb = np.array([distribution_variance(_pegg_barnett(c, cfg.cutoff_s + 1)) for c in sums])
     grid = 2 * np.pi * np.arange(4096) / 4096
     var_p = np.array([
         distribution_variance(PhaseDensity(

@@ -13,7 +13,7 @@ import pytest
 import phasediff
 from phasediff.cli import main
 from phasediff.config import _EXPERIMENTS
-from phasediff.distributions import _fock_bytes
+from phasediff.distributions import _fock_work
 from phasediff.sde import _integrate_bytes
 
 
@@ -152,13 +152,13 @@ def test_sde_arrays_just_past_memory_exit_2(tmp_path, capsys, monkeypatch, comma
 
 @pytest.mark.parametrize("command, doc, field", [
     # kappa_minus t = 20: the cutoff search used to run past its pole (NaN);
-    # the cutoff is 1.1e10 or more, 8.8e10 bytes of log-factorials alone
+    # the cutoff is 1.1e10 or more, past the bound at any time count
     ("dist-converge", {"times": [0.1, 20.0]}, "times"),
     ("variance-from-dist", {"t_max": 20.0}, "t_max"),
     ("dist-converge", {"times": [0.1, 800.0]}, "times"),  # past the cutoff rule's domain
 ])
-def test_fock_arrays_beyond_memory_exit_2(tmp_path, capsys, monkeypatch, command, doc, field):
-    # refused from the sizes alone, before any Fock array is made
+def test_fock_work_far_past_its_bound_exits_2(tmp_path, capsys, monkeypatch, command, doc, field):
+    # refused from the counts alone, before any Fock table is made
     def refuse(*args):
         raise AssertionError("built a log-factorial table")
 
@@ -169,26 +169,28 @@ def test_fock_arrays_beyond_memory_exit_2(tmp_path, capsys, monkeypatch, command
     record = json.loads(err)
     assert record["error"] == "validation"
     assert [d["field"] for d in record["details"]] == [field]
-    assert "physical memory" in record["details"][0]["message"]
+    assert f"work bound of {phasediff.config._FOCK_WORK_LIMIT:,}" in \
+        record["details"][0]["message"]
 
 
 @pytest.mark.parametrize("command, field, n_times", [
     ("dist-converge", "times", 2), ("variance-from-dist", "t_max", 16)])
-def test_fock_arrays_just_past_memory_exit_2(tmp_path, capsys, monkeypatch, command, field,
-                                             n_times):
-    # the default run's exact count (4.0 is both defaults' last time): a byte
-    # less memory is refused, that much validates
+def test_fock_work_just_past_its_bound_exits_2(tmp_path, capsys, monkeypatch, command, field,
+                                               n_times):
+    # the default run's exact count (4.0 is both defaults' last time): a bound
+    # one below it is refused, a bound equal to it validates
     inp = phasediff.CoherentInput(2.25)
     cutoff = phasediff.fock_cutoff(phasediff.AmplifierParams(1.0), inp, 4.0)
-    need = _fock_bytes(inp, cutoff, n_times, math.inf)
-    monkeypatch.setattr(phasediff.config, "_physical_memory", lambda: need - 1)
+    work = _fock_work(inp, cutoff, n_times, math.inf)
+    monkeypatch.setattr(phasediff.config, "_FOCK_WORK_LIMIT", work - 1)
     code, _, err = run(capsys, command, "--seed", "1", "--out", str(tmp_path))
     assert code == 2
     record = json.loads(err)
     assert [d["field"] for d in record["details"]] == [field]
-    assert f"needs at least {need:.3g} bytes" in record["details"][0]["message"]
-    assert "physical memory" in record["details"][0]["message"]
-    monkeypatch.setattr(phasediff.config, "_physical_memory", lambda: need)
+    message = record["details"][0]["message"]
+    assert f"forms at least {work:,} band entries" in message
+    assert f"work bound of {work - 1:,}" in message
+    monkeypatch.setattr(phasediff.config, "_FOCK_WORK_LIMIT", work)
     phasediff.validate_config({"experiment": command, "master_seed": 1})
 
 

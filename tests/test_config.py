@@ -118,21 +118,21 @@ def test_first_order_sidecar_is_strict_json(tmp_path, experiment):
 
 
 def test_validation_plans_the_fock_times_the_run_uses(tmp_path, monkeypatch):
-    # one time: the run's last time is t_min, and validation sizes that, not t_max
-    # (a Fock cutoff of 2e10 at t_max 20 would need 5e12 bytes)
-    sized = []
-    real = phasediff.config._fock_bytes
+    # one time: the run's last time is t_min, and validation counts that run's
+    # work, not t_max's (a Fock cutoff of 1.1e10 at t_max 20 is past the bound)
+    counted = []
+    real = phasediff.config._fock_work
 
-    def sizing(input_, cutoff, n_times, limit):
-        sized.append((cutoff, n_times))
+    def counting(input_, cutoff, n_times, limit):
+        counted.append((cutoff, n_times))
         return real(input_, cutoff, n_times, limit)
 
-    monkeypatch.setattr(phasediff.config, "_fock_bytes", sizing)
+    monkeypatch.setattr(phasediff.config, "_fock_work", counting)
     cfg = validate_config({"experiment": "variance-from-dist", "master_seed": 1,
                            "n_time_points": 1, "t_max": 20.0, "out": str(tmp_path)})
     cutoff = phasediff.fock_cutoff(cfg.params, cfg.input, 0.1)
     assert cfg.times == (0.1,) and cfg.cutoff_s == cutoff
-    assert sized == [(cutoff, 1)]
+    assert counted == [(cutoff, 1)]
     run_experiment(cfg)
     meta = json.loads((tmp_path / "variance-from-dist.meta.json").read_text())
     assert meta["cutoff_s"] == cutoff

@@ -15,6 +15,7 @@ from phasediff import (
     FockState,
     GuardTripError,
     PhaseDensity,
+    distribution_variance,
     eta,
     evolve_density_series,
     fock_cutoff,
@@ -26,13 +27,13 @@ from phasediff import (
 )
 from phasediff.distributions import (
     CUTOFF_TAIL,
+    _band_blocks,
     _band_kmax,
-    _check_band,
+    _check_guards,
     _chernoff_count_cutoff,
     _erf,
-    _fock_bytes,
     _log_factorials,
-    _output_bands,
+    _offset_sums,
 )
 
 IDEAL_1 = AmplifierParams(1.0, 0.0)
@@ -331,13 +332,12 @@ class TestGuards:
             with pytest.raises(GuardTripError, match="top Fock level"):
                 evolve_density_series(IDEAL_1, CoherentInput(1000.0), 48, [0.5])
 
-    def test_band_edge_guard(self):
-        band = np.zeros((6, 20))
-        band[0, 0] = 1.0
-        _check_band(band, 20, 1.0, 0.0)
-        band[-1, 3] = 1e-9
-        with pytest.raises(GuardTripError, match="band edge"):
-            _check_band(band, 20, 1.0, 0.0)
+    def test_guards_read_their_two_scalars(self):
+        _check_guards(1.0, 1e-6, 1e-10)  # each at its limit passes
+        with pytest.raises(GuardTripError, match="band edge reached 1.00e-09 at t=1.0"):
+            _check_guards(1.0, 0.0, 1e-9)
+        with pytest.raises(GuardTripError, match="top Fock level and beyond hold 2.00e-06"):
+            _check_guards(1.0, 2e-6, 1e-9)  # the top level is checked first
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
@@ -364,33 +364,32 @@ class TestBandSize:
         for d in (10, 49, s_in + 1, 2 * s_in, 20_000):
             assert _band_kmax(inp, d) == whole_table_kmax(inp, d), d
 
-    @pytest.mark.parametrize("amplitude_sq, kmax, t_max, n_times", [
-        pytest.param(2.25, 47, 4.0, 16, id="2.25-47"),  # the default variance-from-dist
-        pytest.param(6.0, 62, 4.0, 16, id="6.0-62"),
-        pytest.param(30.0, 110, 4.0, 16, id="30.0-110"),
-        pytest.param(2.25, 47, 2.5, 8, id="bench"),  # the benchmark's variance-from-dist
-        pytest.param(2.25, 47, 4.0, 7, id="7_times"),
-        pytest.param(6.0, 62, 2.0, 3, id="3_times")])
-    def test_byte_count_bounds_the_traced_peak(self, amplitude_sq, kmax, t_max, n_times):
+    @pytest.mark.parametrize("amplitude_sq, times, ceiling", [
+        # the benchmark's variance-from-dist and dist-converge, and the default
+        # variance-from-dist, whose bands take about 2.1, 0.7 and 15.7 MB
+        pytest.param(2.25, np.linspace(0.1, 2.5, 8), 1e6, id="bench"),
+        pytest.param(6.0, np.array([0.5, 2.0]), 1e6, id="bench-dist-converge"),
+        pytest.param(2.25, np.linspace(0.1, 4.0, 16), 2e6, id="default")])
+    def test_streamed_sums_hold_no_band(self, amplitude_sq, times, ceiling):
         inp = CoherentInput(amplitude_sq)
-        times = np.linspace(0.1, t_max, n_times)
-        cutoff = fock_cutoff(IDEAL_1, inp, t_max)
+        cutoff = fock_cutoff(IDEAL_1, inp, times[-1])
         tracemalloc.start()
         try:
-            states = evolve_density_series(IDEAL_1, inp, cutoff, times)
+            sums = _offset_sums(IDEAL_1, inp, cutoff, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert states[0].band.shape == (kmax + 1, cutoff + 1)
-        count = _fock_bytes(inp, cutoff, len(times), math.inf)
-        assert peak <= count <= 1.15 * peak
+        assert sums.shape == (len(times), _band_kmax(inp, cutoff + 1) + 1)
+        assert peak <= ceiling
 
 
 def separate_ratio_bands(params, input, log_fact, d, kmax, times):
-    """_output_bands with the ratios in their own (d, times, kmax + 1) array.
+    """Untruncated output bands (times, kmax + 1, d), zero past the cutoff,
+    with the recurrence's ratios in their own (d, times, kmax + 1) array.
 
     The same floating-point operations in the same order, each band formed
-    from fresh temporaries: the in-place layout must reproduce it bit for bit.
+    from fresh temporaries over all n at once: the streamed blocks must
+    reproduce it bit for bit.
     """
     t = times[:, None]
     nbar = params.noise_ratio * np.expm1(params.kappa_minus * t)
@@ -437,10 +436,27 @@ def first_guard_trip(bands, d, times):
     """The message evolve_density_series raises on these bands, or None."""
     for t, band in zip(times, bands):
         try:
-            _check_band(band, d, t, 1.0 - band[0].sum())
+            _check_guards(t, band[0, d - 1] + (1.0 - band[0].sum()),
+                          band[-3:].max() if len(band) >= 4 else 0.0)
         except GuardTripError as exc:
             return str(exc)
     return None
+
+
+def streamed_bands(params, input, d, kmax, times):
+    """The bands _band_blocks streams, gathered into one array."""
+    bands = np.empty((len(times), kmax + 1, d))
+    for n0, block in _band_blocks(params, input, times, d, kmax):
+        bands[:, :, n0:n0 + block.shape[1]] = block.transpose(0, 2, 1)
+    return bands
+
+
+def outcome(route, *args):
+    """What a Fock route returns, and the message of the GuardTripError it raises."""
+    try:
+        return route(*args), None
+    except GuardTripError as exc:
+        return None, str(exc)
 
 
 class TestBandsInPlace:
@@ -461,15 +477,18 @@ class TestBandsInPlace:
                 kmax = _band_kmax(inp, d)
                 log_fact = _log_factorials(d + kmax)
                 expected = separate_ratio_bands(params, inp, log_fact, d, kmax, times)
-                assert np.array_equal(_output_bands(params, inp, log_fact, d, kmax, times),
+                assert np.array_equal(streamed_bands(params, inp, d, kmax, times),
                                       expected), (case, cutoff)
                 message = first_guard_trip(expected, d, times)
+                states, raised = outcome(evolve_density_series, params, inp, cutoff, times)
+                sums, streamed_raised = outcome(_offset_sums, params, inp, cutoff, times)
+                assert raised == streamed_raised == message, (case, cutoff)
                 if message is None:
-                    evolve_density_series(params, inp, cutoff, times)
-                else:
-                    with pytest.raises(GuardTripError) as info:
-                        evolve_density_series(params, inp, cutoff, times)
-                    assert str(info.value) == message
+                    trace = expected[:, 0].sum(axis=1)
+                    for state, band, tr in zip(states, expected, trace):
+                        assert np.array_equal(state.band, band / tr), (case, cutoff)
+                    np.testing.assert_allclose(sums, expected.sum(axis=2) / trace[:, None],
+                                               rtol=1e-14, atol=0)
                 outcomes.add(message and message.split()[0])
         assert outcomes == {None, "top", "coherence"}
 
@@ -627,6 +646,31 @@ class TestPhaseDensities:
             assert dev < previous
             previous = dev
         assert previous < 1e-4
+
+
+def wrapped_gaussian(m, centre, sigma):
+    """A Gaussian of width sigma about centre on m points over [0, 2pi), each
+    point at its nearest distance from the centre around the circle."""
+    grid = 2 * np.pi * np.arange(m) / m
+    x = (grid - centre + np.pi) % (2 * np.pi) - np.pi
+    return PhaseDensity(grid, np.exp(-x**2 / (2 * sigma**2)) / (math.sqrt(2 * np.pi) * sigma))
+
+
+class TestDistributionVariance:
+    def test_uniform_density_has_the_discrete_uniform_variance(self):
+        m = 1000
+        grid = 2 * np.pi * np.arange(m) / m
+        with pytest.warns(UserWarning, match="recentered window carries"):
+            variance = distribution_variance(PhaseDensity(grid, np.full(m, 1 / (2 * np.pi))))
+        assert variance == pytest.approx((2 * np.pi / m) ** 2 * (m**2 - 1) / 12, rel=1e-12)
+
+    @pytest.mark.parametrize("centre", [np.pi, np.pi / 2])
+    def test_narrow_gaussian_has_its_own_variance(self, centre):
+        # at pi/2 a window left at [0, 2pi) would cut the tail below 0, where the
+        # density is 1.5e-6 of its peak, and move the variance by 1.5e-6:
+        # only the window recentred on the peak holds the whole Gaussian
+        assert distribution_variance(wrapped_gaussian(4096, centre, 0.3)) == \
+            pytest.approx(0.09, abs=1e-12)
 
 
 def ulps(a, b):
